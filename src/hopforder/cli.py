@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
@@ -44,7 +45,6 @@ from .groups import (
 )
 from .induction import (
     NotArithmeticallyDisjointError,
-    are_arithmetically_disjoint,
     base_change_order,
     induce_action,
     permutation_cycles,
@@ -184,9 +184,6 @@ def cmd_induce(args) -> dict:
     left_doc.field.validate()
     right_doc.field.validate()
     setup = induce_action(left_doc.hopf, right_doc.hopf, ring)
-    disjoint = are_arithmetically_disjoint(
-        left_doc.field, right_doc.field, ring
-    )
     report = {
         "command": "induce",
         "input": {
@@ -199,9 +196,9 @@ def cmd_induce(args) -> dict:
         ],
         "row_permutation_cycles": [list(c) for c in permutation_cycles(setup.perm)],
         "kronecker_factorization_ok": verify_kronecker_theorem(setup),
-        "arithmetically_disjoint": disjoint,
+        "arithmetically_disjoint": setup.disjoint,
     }
-    if not disjoint:
+    if not setup.disjoint:
         report["order_level"] = {
             "refused": True,
             "reason": "factor extensions are not arithmetically disjoint",
@@ -211,8 +208,7 @@ def cmd_induce(args) -> dict:
         "refused": False,
         "tensor_order_ok": verify_tensor_order(setup),
     }
-    ob = associated_order(setup.bundle)
-    order_level.update(_order_section(ob))
+    order_level.update(_order_section(setup.order))
     if args.gamma is not None or args.delta is not None:
         if args.gamma is None or args.delta is None:
             raise CliError("missing-flag", "--gamma and --delta come together")
@@ -365,9 +361,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_coordinate_flag(arg) -> bool:
+    # argparse also accepts a unique prefix such as '--gam'
+    return len(arg) > 2 and any(
+        flag.startswith(arg) for flag in ("--beta", "--gamma", "--delta")
+    )
+
+
+def _join_negative_coordinates(argv):
+    """Rewrite '--gamma -1,0,2' as '--gamma=-1,0,2': argparse takes a
+    separate value starting with '-<digit>' for an option."""
+    out = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if _is_coordinate_flag(flag) and re.match(r"-\d", arg):
+            out[-1] = f"{flag}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_negative_coordinates(sys.argv[1:] if argv is None else argv)
+    )
     start = time.monotonic()
     try:
         report = args.func(args)

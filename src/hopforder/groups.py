@@ -272,24 +272,7 @@ class RegularSubgroup:
         )
 
 
-def _generate(gens, cap=None):
-    elems = {Permutation.identity(gens[0].degree)} if gens else set()
-    frontier = list(elems)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for gperm in gens:
-                c = gperm * a
-                if c not in elems:
-                    elems.add(c)
-                    nxt.append(c)
-                    if cap is not None and len(elems) > cap:
-                        return None
-        frontier = nxt
-    return elems
-
-
-def _semiregular_candidates(degree, target, used_points_ok=None):
+def _semiregular_candidates(degree, target):
     """Fixed-point-free permutations with equal cycle lengths sending 0 to
     `target`, generated cycle by cycle."""
     out = []
@@ -302,7 +285,7 @@ def _semiregular_candidates(degree, target, used_points_ok=None):
 
 def _build_semiregular(degree, ell, target, out):
     # place points into cycles of length ell; the cycle through 0 starts 0 -> target
-    def extend(assigned, cycles, current, remaining):
+    def extend(cycles, current, remaining):
         if current is not None:
             if len(current) == ell:
                 start = current[0]
@@ -314,9 +297,7 @@ def _build_semiregular(degree, ell, target, out):
                 for x in sorted(remaining):
                     if current[0] == 0 and len(current) == 1 and x != target:
                         continue
-                    extend(
-                        assigned | {x}, cycles, current + [x], remaining - {x}
-                    )
+                    extend(cycles, current + [x], remaining - {x})
                 return
         if not remaining:
             imgs = list(range(degree))
@@ -326,9 +307,9 @@ def _build_semiregular(degree, ell, target, out):
             out.append(Permutation(tuple(imgs)))
             return
         start = min(remaining)
-        extend(assigned | {start}, cycles, [start], remaining - {start})
+        extend(cycles, [start], remaining - {start})
 
-    extend({0}, [], [0], set(range(degree)) - {0})
+    extend([], [0], set(range(degree)) - {0})
 
 
 def _close(partial, new_elem, conj_gens, cap):
@@ -471,7 +452,7 @@ def _abelian_models(n):
     return out
 
 
-def _invariant_factor_chains(n, cap=None):
+def _invariant_factor_chains(n):
     """Chains d1 | d2 | ... with product n, largest factor first in name
     order; returned largest-last to match Cn x Cm naming."""
     chains = []
@@ -492,6 +473,7 @@ def _invariant_factor_chains(n, cap=None):
 
 
 def _element_orders(table):
+    """Order of each element, indexed by element."""
     n = len(table)
     e = next(i for i in range(n) if all(table[i][j] == j for j in range(n)))
     orders = []
@@ -501,7 +483,7 @@ def _element_orders(table):
             x = table[x][a]
             k += 1
         orders.append(k)
-    return tuple(sorted(orders))
+    return orders
 
 
 def is_isomorphic(table1, table2) -> bool:
@@ -509,11 +491,9 @@ def is_isomorphic(table1, table2) -> bool:
     n = len(table1)
     if len(table2) != n:
         return False
-    o1, o2 = _element_orders(table1), _element_orders(table2)
-    if o1 != o2:
+    ord1, ord2 = _element_orders(table1), _element_orders(table2)
+    if sorted(ord1) != sorted(ord2):
         return False
-    ord1 = _orders_by_element(table1)
-    ord2 = _orders_by_element(table2)
     e1 = next(i for i in range(n) if all(table1[i][j] == j for j in range(n)))
     e2 = next(i for i in range(n) if all(table2[i][j] == j for j in range(n)))
 
@@ -532,19 +512,6 @@ def is_isomorphic(table1, table2) -> bool:
         return False
 
     return extend({e1: e2}, {e1})
-
-
-def _orders_by_element(table):
-    n = len(table)
-    e = next(i for i in range(n) if all(table[i][j] == j for j in range(n)))
-    out = []
-    for a in range(n):
-        k, x = 1, a
-        while x != e:
-            x = table[x][a]
-            k += 1
-        out.append(k)
-    return out
 
 
 def _close_homomorphism(table1, table2, mapping):
@@ -594,9 +561,11 @@ def classify_type(subgroup: RegularSubgroup) -> str:
     if n > CLASSIFY_CAP:
         raise OrderTooLargeError(f"order {n} exceeds cap {CLASSIFY_CAP}")
     table = subgroup.cayley_table()
-    fingerprint = _element_orders(table)
+    fingerprint = sorted(_element_orders(table))
     for name, model in _standard_models(n):
-        if _element_orders(model) == fingerprint and is_isomorphic(table, model):
+        if fingerprint != sorted(_element_orders(model)):
+            continue
+        if is_isomorphic(table, model):
             return name
     raise GroupValidationError("group matches no standard model")
 

@@ -11,6 +11,7 @@ Tracy-Singh index law.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
@@ -144,6 +145,13 @@ def _tensor_table(
 
 @dataclass(frozen=True)
 class InducedSetup:
+    """The induced action on E (x) F and its two factor actions.
+
+    `disjoint` and the associated orders `left_order`, `right_order` and
+    `order` (induced) are computed on first read and then kept, so a
+    refused, non-disjoint pair computes no order.
+    """
+
     left: ActionBundle
     right: ActionBundle
     product_field: FieldPresentation
@@ -153,6 +161,24 @@ class InducedSetup:
     @property
     def ring(self) -> CoefficientRing:
         return self.bundle.ring
+
+    @cached_property
+    def disjoint(self) -> bool:
+        return are_arithmetically_disjoint(
+            self.left.table.field, self.right.table.field, self.ring
+        )
+
+    @cached_property
+    def left_order(self) -> OrderBasis:
+        return associated_order(self.left)
+
+    @cached_property
+    def right_order(self) -> OrderBasis:
+        return associated_order(self.right)
+
+    @cached_property
+    def order(self) -> OrderBasis:
+        return associated_order(self.bundle)
 
 
 def induce_action(
@@ -188,22 +214,28 @@ def are_arithmetically_disjoint(
     right_field: FieldPresentation,
     ring: CoefficientRing,
 ) -> bool:
-    """Coprimality of the trace-form discriminants over the ring."""
+    """Coprimality of the trace-form discriminants over the ring.
+
+    A non-integral discriminant means the field basis is not integral
+    over the ring; that input is rejected with ValidationError.
+    """
     d1 = left_field.discriminant()
     d2 = right_field.discriminant()
+    for d in (d1, d2):
+        if not ring.is_integral(d):
+            raise ValidationError(
+                f"discriminant {d} is not integral: the field basis is not "
+                "integral over the ring"
+            )
     if d1 == 0 or d2 == 0:
         return False
     if ring.is_local:
         return ring.valuation(d1) == 0 or ring.valuation(d2) == 0
-    if d1.denominator != 1 or d2.denominator != 1:
-        return True  # a non-integral discriminant already carries a unit
     return gcd(d1.numerator, d2.numerator) == 1
 
 
 def _require_disjoint(setup: InducedSetup):
-    if not are_arithmetically_disjoint(
-        setup.left.table.field, setup.right.table.field, setup.ring
-    ):
+    if not setup.disjoint:
         raise NotArithmeticallyDisjointError(
             "factor extensions are not arithmetically disjoint"
         )
@@ -211,21 +243,17 @@ def _require_disjoint(setup: InducedSetup):
 
 def tensor_order_lattice(setup: InducedSetup) -> LatticeBasis:
     """Kronecker product of the two factor order bases, as a lattice."""
-    left_ob = associated_order(setup.left)
-    right_ob = associated_order(setup.right)
     return LatticeBasis(
         ambient_dim=setup.bundle.dim,
-        basis=kronecker(left_ob.basis_in_w, right_ob.basis_in_w),
+        basis=kronecker(setup.left_order.basis_in_w, setup.right_order.basis_in_w),
         ring=setup.ring,
     )
 
 
-def verify_tensor_order(setup: InducedSetup, require_disjoint: bool = True) -> bool:
+def verify_tensor_order(setup: InducedSetup) -> bool:
     """Compare the induced order with the tensor of the factor orders."""
-    if require_disjoint:
-        _require_disjoint(setup)
-    induced_ob = associated_order(setup.bundle)
-    return lattice_equal(induced_ob.lattice(), tensor_order_lattice(setup))
+    _require_disjoint(setup)
+    return lattice_equal(setup.order.lattice(), tensor_order_lattice(setup))
 
 
 @dataclass(frozen=True)
@@ -248,16 +276,14 @@ def verify_induced_generator(
     other bases of the same lattices; the product order follows suit.
     """
     _require_disjoint(setup)
-    left_ob = associated_order(setup.left)
-    right_ob = associated_order(setup.right)
+    left_ob, right_ob = setup.left_order, setup.right_order
     if left_basis is not None:
         left_ob = left_ob.with_basis(left_basis)
     if right_basis is not None:
         right_ob = right_ob.with_basis(right_basis)
-    induced_ob = associated_order(setup.bundle)
     # present the induced order in the product basis v_i mu_j
     tensor_basis = kronecker(left_ob.basis_in_w, right_ob.basis_in_w)
-    tensored_ob = induced_ob.with_basis(tensor_basis)
+    tensored_ob = setup.order.with_basis(tensor_basis)
 
     gamma = tuple(Fraction(x) for x in gamma)
     delta = tuple(Fraction(x) for x in delta)
@@ -306,16 +332,15 @@ def base_change_order(setup: InducedSetup, gamma=None) -> BaseChangeReport:
     bundle = build_bundle(table, setup.ring)
     ob = associated_order(bundle)
 
-    left_ob = associated_order(setup.left)
     expected = LatticeBasis(
         ambient_dim=bundle.dim,
-        basis=kronecker(left_ob.basis_in_w, Matrix.identity(u)),
+        basis=kronecker(setup.left_order.basis_in_w, Matrix.identity(u)),
         ring=setup.ring,
     )
     lattice_eq = lattice_equal(ob.lattice(), expected)
 
     if gamma is None:
-        found = search_free_generator(left_ob, 3)
+        found = search_free_generator(setup.left_order, 3)
         gamma = found.beta if found is not None else None
     if gamma is None:
         return BaseChangeReport(lattice_eq=lattice_eq, gamma_free=None, gamma=None, order=ob)

@@ -9,7 +9,8 @@ the Hopf basis.  Any other basis of the same lattice is accepted through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .action import ActionBundle, NotInImageError, express_endomorphism, rep_matrix
 from .linalg import (
@@ -30,11 +31,11 @@ class OrderBasis:
 
     Column i of basis_in_w holds the w-coordinates of the basis element
     v_i; action_table[i][j] holds the field coordinates of v_i . gamma_j.
+    action_table is computed on first read and then kept.
     """
 
     bundle: ActionBundle
     basis_in_w: Matrix
-    action_table: tuple
     hnf_result: HnfResult
 
     @property
@@ -53,20 +54,15 @@ class OrderBasis:
         )
         if not lattice_equal(self.lattice(), other):
             raise ValueError("proposed basis spans a different lattice")
-        return OrderBasis(
-            bundle=self.bundle,
-            basis_in_w=basis_in_w,
-            action_table=_action_table(self.bundle, basis_in_w),
-            hnf_result=self.hnf_result,
+        return replace(self, basis_in_w=basis_in_w)
+
+    @cached_property
+    def action_table(self) -> tuple:
+        blocks, n = self.bundle.blocks, self.dim
+        return tuple(
+            tuple(blocks[j].apply(self.basis_in_w.col(i)) for j in range(n))
+            for i in range(n)
         )
-
-
-def _action_table(bundle: ActionBundle, basis_in_w: Matrix):
-    n = bundle.dim
-    return tuple(
-        tuple(bundle.blocks[j].apply(basis_in_w.col(i)) for j in range(n))
-        for i in range(n)
-    )
 
 
 def associated_order(bundle: ActionBundle) -> OrderBasis:
@@ -74,17 +70,7 @@ def associated_order(bundle: ActionBundle) -> OrderBasis:
     res = hnf(bundle.M, bundle.ring)
     _, d_inv = det_inverse(res.D)
     basis_in_w = d_inv.scale(1 / res.content)
-    return OrderBasis(
-        bundle=bundle,
-        basis_in_w=basis_in_w,
-        action_table=_action_table(bundle, basis_in_w),
-        hnf_result=res,
-    )
-
-
-def order_action_table(ob: OrderBasis):
-    """The table of v_i . gamma_j in the integral basis."""
-    return ob.action_table
+    return OrderBasis(bundle=bundle, basis_in_w=basis_in_w, hnf_result=res)
 
 
 def order_membership(ob: OrderBasis, h) -> bool:

@@ -1,3 +1,4 @@
+import json
 import pathlib
 
 import pytest
@@ -18,6 +19,15 @@ def load(name: str):
 def bundle_for(name: str):
     doc = load(name)
     return build_bundle(doc.hopf, doc.ring)
+
+
+def i_over_3_document() -> dict:
+    """Q(i) over Z on the basis {1, i/3}, which is not integral: its
+    discriminant is -4/9.  The action is that of quadratic_i_local3."""
+    doc = json.loads(pathlib.Path(fixture_path("quadratic_i_local3")).read_text())
+    doc["ring"] = {"kind": "integers"}
+    doc["field"]["structure_constants"][1][1] = ["-1/9", "0"]
+    return doc
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ comparisons are exact; every expected value is either a fixed expected matrix
 or derived here through an independent second computation route.
 """
 
+import functools
 import sys
 import time
 from contextlib import contextmanager
@@ -359,6 +360,13 @@ def test_acceptance_9d_content_multiplicativity(c1, c2):
 
 int_coord = st.integers(min_value=-3, max_value=3)
 
+@functools.cache
+def setup_9e():
+    """One fixed setup for every case, so its orders are computed once."""
+    return induce_action(
+        load("cubic_eisenstein_alt").hopf, load("quadratic_i_local3").hopf, Z3
+    )
+
 
 @settings(max_examples=200, deadline=None)
 @given(
@@ -366,10 +374,7 @@ int_coord = st.integers(min_value=-3, max_value=3)
     st.tuples(int_coord, int_coord),
 )
 def test_acceptance_9e_generator_det_exponent_law(gamma, delta):
-    left = load("cubic_eisenstein_alt")
-    right = load("quadratic_i_local3")
-    setup = induce_action(left.hopf, right.hopf, Z3)
-    rep = verify_induced_generator(setup, gamma, delta)
+    rep = verify_induced_generator(setup_9e(), gamma, delta)
     # det(D of the product) = det(D_gamma)^u * det(D_delta)^r, r=3, u=2
     assert (
         rep.product_candidate.det

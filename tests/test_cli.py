@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+from hopforder import cli, induction
 from hopforder.cli import main
 
-from conftest import fixture_path
+from conftest import fixture_path, i_over_3_document
 
 
 def run(capsys, *argv):
@@ -111,6 +112,67 @@ def test_induce_refusal_when_not_disjoint(capsys):
     assert r["kronecker_factorization_ok"]
     assert not r["arithmetically_disjoint"]
     assert r["order_level"]["refused"]
+
+
+def counted(monkeypatch, name):
+    """Record the calls of induction.<name>, also where cli bound it."""
+    calls = []
+    real = getattr(induction, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (induction, cli):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_induce_computes_each_order_once(capsys, monkeypatch):
+    orders = counted(monkeypatch, "associated_order")
+    verdicts = counted(monkeypatch, "are_arithmetically_disjoint")
+    run_json(
+        capsys,
+        "induce",
+        fixture_path("cubic_eisenstein_alt"),
+        fixture_path("quadratic_i_local3"),
+        "--gamma=0,1,0",
+        "--delta=1,1",
+    )
+    # left, right and induced orders, and the base-change order
+    assert len(orders) == 4
+    assert len(verdicts) == 1
+
+
+def test_refused_induce_computes_no_order(capsys, monkeypatch):
+    orders = counted(monkeypatch, "associated_order")
+    r = run_json(
+        capsys,
+        "induce",
+        fixture_path("cubic_eisenstein"),
+        fixture_path("quadratic_sqrtm3_local3"),
+    )
+    assert r["order_level"]["refused"]
+    assert orders == []
+
+
+def test_induce_negative_coordinates_spaced_or_joined(capsys):
+    pair = (fixture_path("cubic_eisenstein_alt"), fixture_path("quadratic_i_local3"))
+    spaced = run_json(capsys, "induce", *pair, "--gamma", "-1,0,2", "--delta", "1,-1")
+    joined = run_json(capsys, "induce", *pair, "--gamma=-1,0,2", "--delta=1,-1")
+    abbreviated = run_json(capsys, "induce", *pair, "--gam", "-1,0,2", "--d", "1,-1")
+    assert spaced == joined == abbreviated
+    assert spaced["order_level"]["generator"]["gamma"] == ["-1", "0", "2"]
+
+
+def test_induce_rejects_non_integral_basis(capsys, tmp_path):
+    p = tmp_path / "i_over_3.json"
+    p.write_text(json.dumps(i_over_3_document()))
+    code, out, err = run(capsys, "induce", str(p), fixture_path("quadratic"))
+    assert code == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValidationError" and "not integral" in error["message"]
 
 
 def test_induce_trivial_right(capsys):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopforder.action import ValidationError
+from hopforder.documents import parse_document
 from hopforder.induction import (
     NotArithmeticallyDisjointError,
     are_arithmetically_disjoint,
@@ -30,7 +32,7 @@ from hopforder.linalg import (
 )
 from hopforder.order import associated_order
 
-from conftest import load
+from conftest import i_over_3_document, load
 
 Z3 = CoefficientRing.localized_at(3)
 
@@ -162,6 +164,32 @@ def test_disjointness_over_z():
     assert not are_arithmetically_disjoint(cubic, cubic, z)
 
 
+def test_disjointness_rejects_non_integral_basis():
+    field = parse_document(i_over_3_document()).field
+    assert field.discriminant() == Fraction(-4, 9)
+    cubic = load("cubic_eisenstein").field
+    for ring in (CoefficientRing.integers(), Z3):
+        for pair in ((field, cubic), (cubic, field)):
+            with pytest.raises(ValidationError, match="not integral"):
+                are_arithmetically_disjoint(*pair, ring)
+
+
+# --- what the setup computes on first read -------------------------------
+
+
+def test_setup_orders_match_fresh_computation_and_are_kept():
+    _, _, setup = setup_cubic_alt_with_i()
+    assert setup.disjoint is True
+    for name, bundle in (
+        ("left_order", setup.left),
+        ("right_order", setup.right),
+        ("order", setup.bundle),
+    ):
+        ob = getattr(setup, name)
+        assert ob.basis_in_w == associated_order(bundle).basis_in_w
+        assert getattr(setup, name) is ob
+
+
 # --- tensor order --------------------------------------------------------
 
 
@@ -176,6 +204,7 @@ def test_tensor_order_refused_when_not_disjoint():
     _, _, setup = setup_cubic_with_sqrtm3()
     with pytest.raises(NotArithmeticallyDisjointError):
         verify_tensor_order(setup)
+    assert not {"left_order", "right_order", "order"} & set(vars(setup))
     # action-level claim still fine
     assert verify_kronecker_theorem(setup)
 

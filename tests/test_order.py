@@ -1,5 +1,6 @@
 """Associated orders: basis computation, membership, verification."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,14 @@ def test_quadratic_order_basis():
     assert ob.hnf_result.content == 1
     # canonical basis {1, (-1 + s)/2}
     assert ob.basis_in_w == Matrix([[1, Fraction(-1, 2)], [0, Fraction(1, 2)]])
+
+
+def test_action_table_is_computed_on_first_read():
+    ob = associated_order(bundle_for("cubic_eisenstein"))
+    assert "action_table" not in vars(ob)
+    table = ob.action_table
+    assert vars(ob)["action_table"] is table
+    assert "action_table" not in vars(ob.with_basis(ob.basis_in_w))
 
 
 def test_quadratic_idempotent_basis_is_same_lattice():
@@ -124,15 +133,19 @@ def test_membership_two_routes_agree(h):
     assert order_membership(ob, h) == order_membership_by_lattice(ob, h)
 
 
-unimodular_entries = st.integers(min_value=-3, max_value=3)
+# every 2x2 matrix with entries in [-3, 3] and det +-1
+UNIMODULAR = [
+    m
+    for m in (
+        Matrix([[a, b], [c, d]])
+        for a, b, c, d in itertools.product(range(-3, 4), repeat=4)
+    )
+    if determinant(m) in (1, -1)
+]
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.lists(unimodular_entries, min_size=2, max_size=2), min_size=2, max_size=2)
-    .map(Matrix)
-    .filter(lambda m: determinant(m) in (1, -1))
-)
+@given(st.sampled_from(UNIMODULAR))
 def test_unimodular_change_of_basis_keeps_the_lattice(u):
     ob = associated_order(bundle_for("quadratic"))
     changed = ob.basis_in_w @ u
