@@ -58,7 +58,6 @@ from .induction import (
     are_arithmetically_disjoint,
     base_change_order,
     induce_action,
-    permutation_cycles,
     permute_rows,
     product_field,
     tensor_order_lattice,

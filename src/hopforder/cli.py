@@ -36,6 +36,7 @@ from .freeness import (
 from .groups import (
     DegreeTooLargeError,
     GroupValidationError,
+    Permutation,
     classify_type,
     complements_of,
     detect_induced,
@@ -47,7 +48,6 @@ from .induction import (
     NotArithmeticallyDisjointError,
     base_change_order,
     induce_action,
-    permutation_cycles,
     verify_induced_generator,
     verify_kronecker_theorem,
     verify_tensor_order,
@@ -164,7 +164,8 @@ def cmd_free(args) -> dict:
         cand = search_free_generator(ob, bound)
         report["search_bound"] = bound
         if cand is None:
-            report["free"] = False
+            # a bounded search that finds nothing decides nothing
+            report["free"] = None
             report["found"] = False
         else:
             report["free"] = True
@@ -194,7 +195,9 @@ def cmd_induce(args) -> dict:
         "induced_action": [
             [rational_vector(v) for v in row] for row in setup.bundle.table.entries
         ],
-        "row_permutation_cycles": [list(c) for c in permutation_cycles(setup.perm)],
+        "row_permutation_cycles": [
+            [i + 1 for i in c] for c in Permutation(setup.perm).cycles()
+        ],
         "kronecker_factorization_ok": verify_kronecker_theorem(setup),
         "arithmetically_disjoint": setup.disjoint,
     }

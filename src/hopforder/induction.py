@@ -10,7 +10,7 @@ Tracy-Singh index law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from math import gcd
@@ -59,24 +59,6 @@ def tracy_singh_permutation(r: int, u: int):
                     dst = n * u * (b - 1) + u * u * (a - 1) + u * (d - 1) + c
                     dest[src - 1] = dst - 1
     return tuple(dest)
-
-
-def permutation_cycles(dest, one_based: bool = True):
-    """Disjoint cycles of a permutation given as a dest tuple."""
-    seen = [False] * len(dest)
-    cycles = []
-    for i in range(len(dest)):
-        if seen[i] or dest[i] == i:
-            seen[i] = True
-            continue
-        cyc = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j + 1 if one_based else j)
-            j = dest[j]
-        cycles.append(tuple(cyc))
-    return tuple(cycles)
 
 
 def permute_rows(m: Matrix, dest) -> Matrix:
@@ -147,9 +129,9 @@ def _tensor_table(
 class InducedSetup:
     """The induced action on E (x) F and its two factor actions.
 
-    `disjoint` and the associated orders `left_order`, `right_order` and
-    `order` (induced) are computed on first read and then kept, so a
-    refused, non-disjoint pair computes no order.
+    `disjoint`, the associated orders `left_order`, `right_order` and
+    `order` (induced), and `tensor_order_ok` are computed on first read
+    and then kept, so a refused, non-disjoint pair computes no order.
     """
 
     left: ActionBundle
@@ -179,6 +161,11 @@ class InducedSetup:
     @cached_property
     def order(self) -> OrderBasis:
         return associated_order(self.bundle)
+
+    @cached_property
+    def tensor_order_ok(self) -> bool:
+        """Whether the induced order is the tensor of the factor orders."""
+        return lattice_equal(self.order.lattice(), tensor_order_lattice(self))
 
 
 def induce_action(
@@ -253,7 +240,7 @@ def tensor_order_lattice(setup: InducedSetup) -> LatticeBasis:
 def verify_tensor_order(setup: InducedSetup) -> bool:
     """Compare the induced order with the tensor of the factor orders."""
     _require_disjoint(setup)
-    return lattice_equal(setup.order.lattice(), tensor_order_lattice(setup))
+    return setup.tensor_order_ok
 
 
 @dataclass(frozen=True)
@@ -281,9 +268,12 @@ def verify_induced_generator(
         left_ob = left_ob.with_basis(left_basis)
     if right_basis is not None:
         right_ob = right_ob.with_basis(right_basis)
-    # present the induced order in the product basis v_i mu_j
+    # present the induced order in the product basis v_i mu_j; any bases
+    # of the factor orders span the same tensor lattice
+    if not setup.tensor_order_ok:
+        raise ValueError("proposed basis spans a different lattice")
     tensor_basis = kronecker(left_ob.basis_in_w, right_ob.basis_in_w)
-    tensored_ob = setup.order.with_basis(tensor_basis)
+    tensored_ob = replace(setup.order, basis_in_w=tensor_basis)
 
     gamma = tuple(Fraction(x) for x in gamma)
     delta = tuple(Fraction(x) for x in delta)

@@ -1,10 +1,12 @@
 """Exact linear algebra over Z and Z localized at a prime.
 
-Everything here works with `fractions.Fraction`, so no rounding ever
-happens.  The central routine is :func:`hnf`, a row-style Hermite normal
-form with a tracked unimodular left transform, which the order
-computation relies on.  Lattices are compared by mutual membership,
-never entrywise.
+Inputs and results are exact rationals (`fractions.Fraction`), so no
+rounding ever happens.  Eliminations run on integers: one helper clears
+denominators, and one fraction-free Gauss-Jordan kernel serves rank,
+solve, determinant and inverse.  The central routine is :func:`hnf`, a
+row-style Hermite normal form with a tracked unimodular left transform,
+which the order computation relies on.  Lattices are compared by mutual
+membership, never entrywise.
 """
 
 from __future__ import annotations
@@ -264,37 +266,52 @@ def unvec(v, n: int) -> Matrix:
     return Matrix([[v[n * j + i] for j in range(n)] for i in range(n)])
 
 
-# --- rank / solving ------------------------------------------------------
+# --- the integer elimination kernel ----------------------------------------
 
 
-def _echelon(rows):
-    """In-place fraction Gaussian elimination; returns pivot column list."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
+def _integer_rows(rows):
+    """(a, s): the rows times the lcm s of their denominators, as lists
+    of ints."""
+    s = lcm(*{x.denominator for row in rows for x in row})
+    if s == 1:
+        return [[x.numerator for x in row] for row in rows], 1
+    return [[x.numerator * (s // x.denominator) for x in row] for row in rows], s
+
+
+def _echelon(a):
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Returns (pivot_cols, d, sign).  Afterwards a = d * RREF of the input
+    with its rows swapped, and sign is the sign of those swaps.  d is
+    the determinant of the pivot submatrix of the swapped input, so
+    every division below is exact (Bareiss 1968; Cohen, GTM 138, 2.2).
+    """
+    m = len(a)
     piv_cols = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
+    d, sign, r = 1, 1, 0
+    for c in range(len(a[0]) if m else 0):
+        pr = next((i for i in range(r, m) if a[i][c] != 0), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        if pr != r:
+            a[r], a[pr] = a[pr], a[r]
+            sign = -sign
+        pivot_row = a[r]
+        p = pivot_row[c]
         for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = a[i][c]
+            # a new pivot rescales every other row from d to p
+            if i == r or (f == 0 and p == d):
+                continue
+            a[i] = [(p * x - f * y) // d for x, y in zip(a[i], pivot_row)]
+        d = p
         piv_cols.append(c)
         r += 1
-        if r == m:
-            break
-    return piv_cols
+    return piv_cols, d, sign
 
 
 def rank(m: Matrix) -> int:
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return len(_echelon(m.tolists()))
+    return len(_echelon(_integer_rows(m._data)[0])[0])
 
 
 def solve(m: Matrix, v):
@@ -304,58 +321,42 @@ def solve(m: Matrix, v):
     """
     if len(v) != m.rows:
         raise DimensionMismatchError("rhs length mismatch")
-    aug = [list(row) + [Fraction(v[i])] for i, row in enumerate(m._data)]
-    piv_cols = _echelon(aug)
+    a, _ = _integer_rows([row + (Fraction(x),) for row, x in zip(m._data, v)])
+    piv_cols, d, _ = _echelon(a)
     if m.cols in piv_cols:
         return None  # pivot in augmented column: inconsistent
     if len(piv_cols) < m.cols:
         raise ColumnRankDeficientError("matrix does not have full column rank")
-    x = [Fraction(0)] * m.cols
-    for r, c in enumerate(piv_cols):
-        x[c] = aug[r][-1]
-    return tuple(x)
-
-
-# --- determinant and inverse --------------------------------------------
+    return tuple(Fraction(a[r][-1], d) for r in range(m.cols))
 
 
 def determinant(m: Matrix) -> Fraction:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
+    """Exact determinant: sign * d / s^n from the elimination of s * m."""
     if m.rows != m.cols:
         raise DimensionMismatchError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    s = 1
-    for x in m.entries():
-        s = lcm(s, x.denominator)
-    a = [[int(x * s) for x in row] for row in m.tolists()]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pr = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pr is None:
-                return Fraction(0)
-            a[k], a[pr] = a[pr], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1], s**n)
+    a, s = _integer_rows(m._data)
+    piv_cols, d, sign = _echelon(a)
+    if len(piv_cols) < m.rows:
+        return Fraction(0)
+    return Fraction(sign * d, s**m.rows)
 
 
 def det_inverse(m: Matrix):
-    """Exact determinant and inverse; raises Singular when det = 0."""
-    d = determinant(m)
-    if d == 0:
-        raise SingularError("matrix is singular")
+    """Exact determinant and inverse; raises Singular when det = 0.
+
+    One elimination of [s * m | I] ends at d * [I | (s * m)^-1].
+    """
+    if m.rows != m.cols:
+        raise DimensionMismatchError("determinant of a non-square matrix")
     n = m.rows
-    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(m._data)]
-    _echelon(aug)
-    return d, Matrix([row[n:] for row in aug])
+    a, s = _integer_rows(m._data)
+    for i, row in enumerate(a):
+        row.extend(1 if i == j else 0 for j in range(n))
+    piv_cols, d, sign = _echelon(a)
+    if piv_cols != list(range(n)):
+        raise SingularError("matrix is singular")
+    inverse = Matrix([[Fraction(s * x, d) for x in row[n:]] for row in a])
+    return Fraction(sign * d, s**n), inverse
 
 
 # --- Hermite normal form -------------------------------------------------
@@ -475,13 +476,9 @@ def hnf(m: Matrix, ring: CoefficientRing) -> HnfResult:
     if m.is_zero():
         raise ZeroMatrixError("hnf of the zero matrix")
     d = ring.content(m.entries())
-    mm = m.scale(1 / d)
     # over a local ring entries can be non-integers with unit denominator;
     # scale them away by a unit before the integer HNF
-    s = 1
-    for x in mm.entries():
-        s = lcm(s, x.denominator)
-    a = [[int(x * s) for x in row] for row in mm.tolists()]
+    a, s = _integer_rows(m.scale(1 / d)._data)
     u, r = _hnf_int(a, m.cols)
     if r < m.cols:
         raise ColumnRankDeficientError(f"rank {r} < {m.cols} columns")

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from hopforder import CoefficientRing, build_bundle, load_document
+from hopforder import CoefficientRing, Permutation, build_bundle, load_document
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -19,6 +19,11 @@ def load(name: str):
 def bundle_for(name: str):
     doc = load(name)
     return build_bundle(doc.hopf, doc.ring)
+
+
+def one_based_cycles(dest):
+    """Cycles of a permutation in dest form, with points counted from 1."""
+    return tuple(tuple(i + 1 for i in c) for c in Permutation(dest).cycles())
 
 
 def i_over_3_document() -> dict:

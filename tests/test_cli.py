@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hopforder import cli, induction
+from hopforder import cli, induction, order
 from hopforder.cli import main
 
 from conftest import fixture_path, i_over_3_document
@@ -82,6 +82,13 @@ def test_free_search(capsys):
     assert all(abs(int(x)) <= 1 for x in r["beta"])
 
 
+def test_free_search_miss_is_undecided(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "search_free_generator", lambda ob, bound: None)
+    r = run_json(capsys, "free", fixture_path("quadratic"))
+    assert r["found"] is False
+    assert r["free"] is None
+
+
 def test_induce_disjoint_pair(capsys):
     r = run_json(
         capsys,
@@ -115,7 +122,8 @@ def test_induce_refusal_when_not_disjoint(capsys):
 
 
 def counted(monkeypatch, name):
-    """Record the calls of induction.<name>, also where cli bound it."""
+    """Record the calls of induction.<name>, also where order or cli
+    bound it."""
     calls = []
     real = getattr(induction, name)
 
@@ -123,7 +131,7 @@ def counted(monkeypatch, name):
         calls.append(args)
         return real(*args)
 
-    for module in (induction, cli):
+    for module in (induction, order, cli):
         if hasattr(module, name):
             monkeypatch.setattr(module, name, wrapper)
     return calls
@@ -143,6 +151,20 @@ def test_induce_computes_each_order_once(capsys, monkeypatch):
     # left, right and induced orders, and the base-change order
     assert len(orders) == 4
     assert len(verdicts) == 1
+
+
+def test_induce_proves_the_tensor_order_once(capsys, monkeypatch):
+    comparisons = counted(monkeypatch, "lattice_equal")
+    run_json(
+        capsys,
+        "induce",
+        fixture_path("cubic_eisenstein_alt"),
+        fixture_path("quadratic_i_local3"),
+        "--gamma=0,1,0",
+        "--delta=1,1",
+    )
+    # the tensor order, read by both verifiers, and the base-change order
+    assert len(comparisons) == 2
 
 
 def test_refused_induce_computes_no_order(capsys, monkeypatch):

@@ -13,7 +13,6 @@ from hopforder.induction import (
     are_arithmetically_disjoint,
     base_change_order,
     induce_action,
-    permutation_cycles,
     permute_rows,
     product_field,
     tensor_order_lattice,
@@ -32,7 +31,7 @@ from hopforder.linalg import (
 )
 from hopforder.order import associated_order
 
-from conftest import i_over_3_document, load
+from conftest import i_over_3_document, load, one_based_cycles
 
 Z3 = CoefficientRing.localized_at(3)
 
@@ -53,7 +52,7 @@ def setup_cubic_with_sqrtm3():
 
 
 def test_tracy_singh_cycles_2x2():
-    assert permutation_cycles(tracy_singh_permutation(2, 2)) == (
+    assert one_based_cycles(tracy_singh_permutation(2, 2)) == (
         (3, 5),
         (4, 6),
         (11, 13),
@@ -62,7 +61,7 @@ def test_tracy_singh_cycles_2x2():
 
 
 def test_tracy_singh_cycles_3x2():
-    assert permutation_cycles(tracy_singh_permutation(3, 2)) == (
+    assert one_based_cycles(tracy_singh_permutation(3, 2)) == (
         (3, 5, 9, 7),
         (4, 6, 10, 8),
         (15, 17, 21, 19),
@@ -242,6 +241,14 @@ def test_induced_generator_reference_bases_det():
     assert rep.right_candidate.det == -1
     assert rep.product_candidate.det == -4
     assert rep.free and rep.kronecker_factorization_ok
+
+
+def test_induced_generator_needs_the_tensor_order():
+    _, _, setup = setup_cubic_alt_with_i()
+    # a setup whose induced order is not the tensor of the factor orders
+    object.__setattr__(setup, "tensor_order_ok", False)
+    with pytest.raises(ValueError, match="different lattice"):
+        verify_induced_generator(setup, (0, 1, 0), (1, 1))
 
 
 def test_induced_generator_refused_when_not_disjoint():

@@ -1,5 +1,6 @@
 """Exact linear algebra: HNF, determinants, Kronecker products, lattices."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -280,3 +281,112 @@ def test_det_inverse_property(m):
 @given(matrices(2, 2), matrices(2, 2))
 def test_kronecker_det_property(a, b):
     assert determinant(kronecker(a, b)) == determinant(a) ** 2 * determinant(b) ** 2
+
+
+# --- property tests with rational entries --------------------------------
+#
+# Denominators exercise the clearing of denominators, and low-rank
+# products exercise the singular and rank-deficient paths; every expected
+# value comes from an oracle that does not eliminate.
+
+rational = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+def rational_grid(rows, cols):
+    return st.lists(
+        st.lists(rational, min_size=cols, max_size=cols),
+        min_size=rows,
+        max_size=rows,
+    ).map(Matrix)
+
+
+@st.composite
+def rational_matrices(draw, rows, cols):
+    """Rational matrices of every rank up to min(rows, cols): products of
+    rows x k and k x cols factors, with k = 0 the zero matrix."""
+    k = draw(st.integers(min_value=0, max_value=min(rows, cols)))
+    if k == 0:
+        return Matrix.zero(rows, cols)
+    return draw(rational_grid(rows, k)) @ draw(rational_grid(k, cols))
+
+
+def leibniz_det(m):
+    n = m.rows
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction((-1) ** inversions)
+        for i in range(n):
+            term *= m[i, perm[i]]
+        total += term
+    return total
+
+
+def minor_rank(m):
+    """Size of the largest nonzero minor."""
+    for k in range(min(m.rows, m.cols), 0, -1):
+        for rs in itertools.combinations(range(m.rows), k):
+            for cs in itertools.combinations(range(m.cols), k):
+                if leibniz_det(Matrix([[m[i, j] for j in cs] for i in rs])) != 0:
+                    return k
+    return 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices(4, 4))
+def test_determinant_rational_property(m):
+    assert determinant(m) == leibniz_det(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices(3, 3))
+def test_det_inverse_rational_property(m):
+    expected = leibniz_det(m)
+    if expected == 0:
+        with pytest.raises(SingularError):
+            det_inverse(m)
+        return
+    d, inv = det_inverse(m)
+    assert d == expected
+    assert m @ inv == Matrix.identity(3)
+    assert inv @ m == Matrix.identity(3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rational_matrices(3, 2),
+    st.lists(rational, min_size=2, max_size=2).map(tuple),
+    rational.filter(lambda t: t != 0),
+)
+def test_solve_rational_property(m, x, t):
+    # the cross product of the two columns is normal to the column space,
+    # and it is zero exactly when the columns are dependent
+    (a1, a2, a3), (b1, b2, b3) = m.col(0), m.col(1)
+    normal = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+    v = m.apply(x)
+    if not any(normal):
+        with pytest.raises(ColumnRankDeficientError):
+            solve(m, v)
+        return
+    assert solve(m, v) == x
+    assert m.apply(solve(m, v)) == v
+    off_span = tuple(c + t * e for c, e in zip(v, normal))
+    assert solve(m, off_span) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices(3, 4))
+def test_rank_rational_property(m):
+    assert rank(m) == rank(m.transpose()) == minor_rank(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices(3, 2), st.sampled_from([Z, Z3]))
+def test_hnf_rational_round_trip_property(m, ring):
+    if minor_rank(m) < 2:
+        with pytest.raises((ColumnRankDeficientError, ZeroMatrixError)):
+            hnf(m, ring)
+        return
+    res = hnf(m, ring)
+    assert res.U @ m.scale(1 / res.content) == res.D.stack(Matrix.zero(1, 2))
+    assert determinant(res.U) in (1, -1)
