@@ -9,6 +9,7 @@ vectorizations of the representing matrices.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from .linalg import (
     determinant,
     rank,
     solve,
+    unvec,
     vec,
 )
 
@@ -71,37 +73,20 @@ class FieldPresentation:
             for l in range(n):
                 if sc[j0][k][l] != (1 if k == l else 0):
                     raise ValidationError("unit axiom fails")
-        for a in range(n):
-            for b in range(n):
-                ab = sc[a][b]
-                for c in range(n):
-                    # (gamma_a gamma_b) gamma_c vs gamma_a (gamma_b gamma_c)
-                    left = [
-                        sum(ab[e] * sc[e][c][l] for e in range(n)) for l in range(n)
-                    ]
-                    bc = sc[b][c]
-                    right = [
-                        sum(bc[e] * sc[a][e][l] for e in range(n)) for l in range(n)
-                    ]
-                    if left != right:
-                        raise ValidationError(
-                            f"associativity fails at ({a},{b},{c})"
-                        )
+        # mult[j] = L_j, and column a*n+b of `left` is vec(L_{gamma_a gamma_b}).
+        # Associativity is L_{gamma_a gamma_b} = L_a @ L_b; in column c the
+        # two sides are (gamma_a gamma_b) gamma_c and gamma_a (gamma_b gamma_c).
+        mult = [Matrix.from_cols(plane) for plane in sc]
+        left = _vec_mult(self) @ Matrix.from_cols([ab for plane in sc for ab in plane])
+        for a, b in itertools.product(range(n), repeat=2):
+            pairs = zip(left.col(a * n + b), vec(mult[a] @ mult[b]))
+            i = next((i for i, (x, y) in enumerate(pairs) if x != y), None)
+            if i is not None:
+                raise ValidationError(f"associativity fails at ({a},{b},{i // n})")
 
     def multiply(self, x, y):
         """Coordinates of the product of two coordinate vectors."""
-        n, sc = self.dim, self.structure_constants
-        out = [Fraction(0)] * n
-        for j in range(n):
-            if x[j] == 0:
-                continue
-            for k in range(n):
-                if y[k] == 0:
-                    continue
-                c = Fraction(x[j]) * Fraction(y[k])
-                for l in range(n):
-                    out[l] += c * sc[j][k][l]
-        return tuple(out)
+        return mult_matrix(self, x).apply(y)
 
     def one(self):
         return tuple(
@@ -114,32 +99,24 @@ class FieldPresentation:
 
     def discriminant(self) -> Fraction:
         """Determinant of the trace form of the distinguished basis."""
-        n = self.dim
-        t = Matrix(
-            [
-                [
-                    self.trace(
-                        self.multiply(_unit_vector(n, j), _unit_vector(n, k))
-                    )
-                    for k in range(n)
-                ]
-                for j in range(n)
-            ]
-        )
-        return determinant(t)
+        sc = self.structure_constants
+        return determinant(Matrix([[self.trace(jk) for jk in plane] for plane in sc]))
 
 
-def _unit_vector(n, i):
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
+def _vec_mult(fieldp: FieldPresentation) -> Matrix:
+    """The n^2 x n matrix whose column j is vec(L_j), where
+    L_j = Matrix.from_cols(sc[j]) is the matrix of y -> gamma_j y."""
+    return Matrix.from_cols(
+        [itertools.chain.from_iterable(plane) for plane in fieldp.structure_constants]
+    )
 
 
 def mult_matrix(fieldp: FieldPresentation, x) -> Matrix:
-    """Matrix of y -> x*y in the distinguished basis."""
+    """Matrix of y -> x*y in the distinguished basis, sum_j x_j L_j."""
     n = fieldp.dim
     if len(x) != n:
         raise DimensionMismatchError("coordinate vector length != dim")
-    cols = [fieldp.multiply(x, _unit_vector(n, k)) for k in range(n)]
-    return Matrix.from_cols(cols)
+    return unvec(_vec_mult(fieldp).apply(x), n)
 
 
 @dataclass(frozen=True)
@@ -208,11 +185,7 @@ def rep_matrix(bundle: ActionBundle, h) -> Matrix:
     n = bundle.dim
     if len(h) != n:
         raise DimensionMismatchError("h length != dim")
-    out = Matrix.zero(n, n)
-    for i, c in enumerate(h):
-        if c != 0:
-            out = out + rep_matrix_basis(bundle.table, i).scale(c)
-    return out
+    return unvec(bundle.M.apply(h), n)
 
 
 def verify_action(bundle: ActionBundle) -> ActionReport:
@@ -224,8 +197,8 @@ def verify_action(bundle: ActionBundle) -> ActionReport:
     n = bundle.dim
     rank_ok = rank(bundle.M) == n
     prods = []
-    for j in range(n):
-        mj = mult_matrix(bundle.table.field, _unit_vector(n, j))
+    for plane in bundle.table.field.structure_constants:
+        mj = Matrix.from_cols(plane)
         for i in range(n):
             prods.append(vec(mj @ rep_matrix_basis(bundle.table, i)))
     j_bijective = rank(Matrix.from_cols(prods)) == n * n

@@ -401,6 +401,7 @@ def main(argv=None) -> int:
         NotArithmeticallyDisjointError,
         DegreeTooLargeError,
         GroupValidationError,
+        ValueError,  # e.g. a --search-bound below 1
     ) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(dump_report(error), file=sys.stderr)

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, determinant
+from .linalg import Matrix, determinant, unvec, vec
 from .order import OrderBasis
 
 
@@ -40,10 +40,9 @@ def generator_matrix(ob: OrderBasis, beta) -> GeneratorCandidate:
         raise NonIntegralBetaError("beta has wrong length")
     if not all(bundle.ring.is_integral(b) for b in beta):
         raise NonIntegralBetaError("beta must be ring-integral")
-    d_beta = Matrix.zero(n, n)
-    for j, bj in enumerate(beta):
-        if bj != 0:
-            d_beta = d_beta + (bundle.blocks[j] @ ob.basis_in_w).scale(bj)
+    # column j of `blocks` is vec(M_j), so blocks @ beta = vec(sum_j beta_j M_j)
+    blocks = Matrix.from_cols([vec(block) for block in bundle.blocks])
+    d_beta = unvec(blocks.apply(beta), n) @ ob.basis_in_w
     return GeneratorCandidate(beta=beta, d_beta=d_beta, det=determinant(d_beta))
 
 

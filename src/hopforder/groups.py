@@ -134,6 +134,8 @@ class GroupData:
         cay = self.cayley
         if len(cay) != m or any(len(r) != m for r in cay):
             raise GroupValidationError("Cayley table is not m x m")
+        if any(type(x) is not int for r in cay for x in r):
+            raise GroupValidationError("Cayley entries must be integer indices")
         for r in cay:
             if sorted(r) != list(range(m)):
                 raise GroupValidationError("Cayley rows must be permutations")
@@ -163,6 +165,8 @@ class GroupData:
         m, cay, e = self.order, self.cayley, self.identity
         j_set, g_set = set(self.J), set(self.Gprime)
         for name, s in (("J", j_set), ("Gprime", g_set)):
+            if not all(0 <= x < m for x in s):
+                raise GroupValidationError(f"{name} has an index outside 0..{m - 1}")
             if e not in s:
                 raise GroupValidationError(f"{name} misses the identity")
             for a in s:

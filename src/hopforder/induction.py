@@ -79,20 +79,18 @@ def product_field(
         for k in range(r)
         for l in range(u)
     )
-    scE, scF = left.structure_constants, right.structure_constants
-    sc = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for a in range(r):
-        for c in range(u):
-            for b in range(r):
-                for d in range(u):
-                    for e in range(r):
-                        x = scE[a][b][e]
-                        if x == 0:
-                            continue
-                        for f in range(u):
-                            sc[u * a + c][u * b + d][u * e + f] = (
-                                x * scF[c][d][f]
-                            )
+    # (alpha_a z_c)(alpha_b z_d) = (alpha_a alpha_b)(z_c z_d): coordinates
+    # scE[a][b] (x) scF[c][d], every index pair in Kronecker order; the
+    # tables are sparse, and a zero factor skips the Fraction product
+    sc = [
+        [
+            tuple(x * y if x and y else 0 for x in ab for y in cd)
+            for ab in planeE
+            for cd in planeF
+        ]
+        for planeE in left.structure_constants
+        for planeF in right.structure_constants
+    ]
     return FieldPresentation(
         dim=n,
         basis_labels=labels,
@@ -110,19 +108,13 @@ def _tensor_table(
         for i in range(r)
         for j in range(u)
     )
-    entries = []
-    for i in range(r):
-        for j in range(u):
-            row = []
-            for k in range(r):
-                for l in range(u):
-                    ve = left.entries[i][k]
-                    vf = right.entries[j][l]
-                    row.append(
-                        tuple(ve[e] * vf[f] for e in range(r) for f in range(u))
-                    )
-            entries.append(tuple(row))
-    return ActionTable(hopf_labels=labels, field=prod, entries=tuple(entries))
+    # entry (u*i + j, u*k + l) is left.entries[i][k] (x) right.entries[j][l]
+    entries = tuple(
+        tuple(tuple(x * y for x in ve for y in vf) for ve in row_e for vf in row_f)
+        for row_e in left.entries
+        for row_f in right.entries
+    )
+    return ActionTable(hopf_labels=labels, field=prod, entries=entries)
 
 
 @dataclass(frozen=True)

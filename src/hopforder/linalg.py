@@ -1,12 +1,14 @@
 """Exact linear algebra over Z and Z localized at a prime.
 
 Inputs and results are exact rationals (`fractions.Fraction`), so no
-rounding ever happens.  Eliminations run on integers: one helper clears
-denominators, and one fraction-free Gauss-Jordan kernel serves rank,
-solve, determinant and inverse.  The central routine is :func:`hnf`, a
-row-style Hermite normal form with a tracked unimodular left transform,
-which the order computation relies on.  Lattices are compared by mutual
-membership, never entrywise.
+rounding ever happens.  Products, solves and eliminations run on
+integers: one helper clears denominators, matrix products multiply the
+cleared integers, and one fraction-free Gauss-Jordan kernel serves rank,
+determinant, inverse and solves, each elimination answering any number
+of right-hand sides.  The central routine is :func:`hnf`, a row-style
+Hermite normal form whose unimodular left transform is built only when
+read; the order computation relies on it.  Lattices are compared by
+mutual membership, never entrywise.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 
 
 class LinAlgError(Exception):
@@ -219,21 +223,22 @@ class Matrix:
         return Matrix([[c * x for x in r] for r in self._data])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """(s a) (t b) / (s t): the product of the integer matrices left
+        by clearing the denominators of each factor."""
         if self.cols != other.rows:
             raise DimensionMismatchError("shape mismatch in @")
-        ot = other.transpose()
+        a, s = _integer_rows(self._data)
+        b, t = _integer_rows(other._data)
+        cols = list(zip(*b))
         return Matrix(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in ot._data]
-                for row in self._data
-            ]
+            [[Fraction(sum(map(mul, row, col)), s * t) for col in cols] for row in a]
         )
 
     def apply(self, v):
         """Matrix times a coordinate vector, returned as a tuple."""
         if len(v) != self.cols:
             raise DimensionMismatchError("vector length mismatch")
-        return tuple(sum(a * Fraction(b) for a, b in zip(row, v)) for row in self._data)
+        return (self @ Matrix([[x] for x in v])).col(0)
 
     def stack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
@@ -278,18 +283,20 @@ def _integer_rows(rows):
     return [[x.numerator * (s // x.denominator) for x in row] for row in rows], s
 
 
-def _echelon(a):
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+def _echelon(a, n_cols):
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place,
+    pivoting only in the first n_cols columns.
 
     Returns (pivot_cols, d, sign).  Afterwards a = d * RREF of the input
-    with its rows swapped, and sign is the sign of those swaps.  d is
+    with its rows swapped, and sign is the sign of those swaps; the
+    columns from n_cols on (right-hand sides) are carried along.  d is
     the determinant of the pivot submatrix of the swapped input, so
     every division below is exact (Bareiss 1968; Cohen, GTM 138, 2.2).
     """
     m = len(a)
     piv_cols = []
     d, sign, r = 1, 1, 0
-    for c in range(len(a[0]) if m else 0):
+    for c in range(n_cols):
         pr = next((i for i in range(r, m) if a[i][c] != 0), None)
         if pr is None:
             continue
@@ -311,7 +318,33 @@ def _echelon(a):
 
 
 def rank(m: Matrix) -> int:
-    return len(_echelon(_integer_rows(m._data)[0])[0])
+    return len(_echelon(_integer_rows(m._data)[0], m.cols)[0])
+
+
+def solve_columns(m: Matrix, vs) -> list:
+    """For each v in vs, the unique solution x of m @ x = v, or None if
+    inconsistent, from one elimination of [m | v_1 ... v_k].
+
+    A consistent v requires m to have full column rank (the only case
+    this package needs).
+    """
+    if any(len(v) != m.rows for v in vs):
+        raise DimensionMismatchError("rhs length mismatch")
+    n = m.cols
+    a, _ = _integer_rows(
+        [row + tuple(v[i] for v in vs) for i, row in enumerate(m._data)]
+    )
+    piv_cols, d, _ = _echelon(a, n)
+    r = len(piv_cols)
+    out = []
+    for j in range(n, n + len(vs)):
+        if any(row[j] for row in a[r:]):
+            out.append(None)  # a zero row of m meets a nonzero entry of v
+        elif r < n:
+            raise ColumnRankDeficientError("matrix does not have full column rank")
+        else:
+            out.append(tuple(Fraction(row[j], d) for row in a[:n]))
+    return out
 
 
 def solve(m: Matrix, v):
@@ -319,15 +352,7 @@ def solve(m: Matrix, v):
 
     Requires m to have full column rank (the only case this package needs).
     """
-    if len(v) != m.rows:
-        raise DimensionMismatchError("rhs length mismatch")
-    a, _ = _integer_rows([row + (Fraction(x),) for row, x in zip(m._data, v)])
-    piv_cols, d, _ = _echelon(a)
-    if m.cols in piv_cols:
-        return None  # pivot in augmented column: inconsistent
-    if len(piv_cols) < m.cols:
-        raise ColumnRankDeficientError("matrix does not have full column rank")
-    return tuple(Fraction(a[r][-1], d) for r in range(m.cols))
+    return solve_columns(m, [v])[0]
 
 
 def determinant(m: Matrix) -> Fraction:
@@ -335,7 +360,7 @@ def determinant(m: Matrix) -> Fraction:
     if m.rows != m.cols:
         raise DimensionMismatchError("determinant of a non-square matrix")
     a, s = _integer_rows(m._data)
-    piv_cols, d, sign = _echelon(a)
+    piv_cols, d, sign = _echelon(a, m.cols)
     if len(piv_cols) < m.rows:
         return Fraction(0)
     return Fraction(sign * d, s**m.rows)
@@ -352,8 +377,8 @@ def det_inverse(m: Matrix):
     a, s = _integer_rows(m._data)
     for i, row in enumerate(a):
         row.extend(1 if i == j else 0 for j in range(n))
-    piv_cols, d, sign = _echelon(a)
-    if piv_cols != list(range(n)):
+    piv_cols, d, sign = _echelon(a, n)
+    if len(piv_cols) < n:
         raise SingularError("matrix is singular")
     inverse = Matrix([[Fraction(s * x, d) for x in row[n:]] for row in a])
     return Fraction(sign * d, s**n), inverse
@@ -364,7 +389,7 @@ def det_inverse(m: Matrix):
 
 @dataclass(frozen=True)
 class HnfResult:
-    """Outcome of hnf: U @ (input / content) = D stacked over zero rows.
+    """Outcome of hnf: U @ (matrix / content) = D stacked over zero rows.
 
     D is the integer-style Hermite normal form (positive pivots, entries
     above a pivot reduced into [0, pivot)).  For a local ring the input is
@@ -372,11 +397,22 @@ class HnfResult:
     :meth:`local_normal_form` for the p-power-pivot canonical shape.
     """
 
-    U: Matrix
+    matrix: Matrix  # the input
     D: Matrix
     content: Fraction
     zero_rows: int
     ring: CoefficientRing
+
+    @cached_property
+    def U(self) -> Matrix:
+        """The unimodular transform, built on first read: the same HNF
+        run on [matrix / content | I] ends at [D; 0 | U]."""
+        a, _ = _integer_rows(self.matrix.scale(1 / self.content)._data)
+        n, m = self.matrix.cols, len(a)
+        for i, row in enumerate(a):
+            row.extend(1 if i == j else 0 for j in range(m))
+        _hnf_int(a, n)
+        return Matrix([row[n:] for row in a])
 
     def local_normal_form(self) -> Matrix:
         """Canonical form over Z_(p): each row divided by the unit part of
@@ -407,19 +443,19 @@ class HnfResult:
 
 
 def _hnf_int(a, n_cols):
-    """Row HNF of an integer matrix (list of lists), returning (U, rank).
+    """Row HNF of an integer matrix (list of lists) in place, pivoting
+    only in the first n_cols columns; returns the rank.
 
-    Transforms a in place; accumulates the unimodular transform in U.
+    The row operations depend on those columns alone, so the columns
+    after them carry the unimodular transform when they start as I.
     """
     m = len(a)
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
 
     def rowop(i1, i2, s, t, x, y):
         # (row i1, row i2) <- (s*row i1 + t*row i2, x*row i1 + y*row i2)
-        for mat in (a, u):
-            r1, r2 = mat[i1], mat[i2]
-            mat[i1] = [s * p + t * q for p, q in zip(r1, r2)]
-            mat[i2] = [x * p + y * q for p, q in zip(r1, r2)]
+        r1, r2 = a[i1], a[i2]
+        a[i1] = [s * p + t * q for p, q in zip(r1, r2)]
+        a[i2] = [x * p + y * q for p, q in zip(r1, r2)]
 
     r = 0
     for c in range(n_cols):
@@ -428,7 +464,6 @@ def _hnf_int(a, n_cols):
             continue
         if pr != r:
             a[r], a[pr] = a[pr], a[r]
-            u[r], u[pr] = u[pr], u[r]
         for i in range(r + 1, m):
             if a[i][c] == 0:
                 continue
@@ -444,15 +479,13 @@ def _hnf_int(a, n_cols):
             rowop(r, i, s, t, -q // g, p // g)
         if a[r][c] < 0:
             a[r] = [-x for x in a[r]]
-            u[r] = [-x for x in u[r]]
         piv = a[r][c]
         for i in range(r):
             if not 0 <= a[i][c] < piv:
                 f = a[i][c] // piv
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-                u[i] = [x - f * y for x, y in zip(u[i], u[r])]
         r += 1
-    return u, r
+    return r
 
 
 def _gcdex(p, q):
@@ -469,9 +502,9 @@ def _gcdex(p, q):
 def hnf(m: Matrix, ring: CoefficientRing) -> HnfResult:
     """Hermite normal form with content extraction and transform.
 
-    Returns U, D, content with U unimodular over the ring and
-    U @ (m / content) = [D; 0], D upper triangular with nonzero pivots.
-    Raises ColumnRankDeficient when rank < cols.
+    Returns D, content and (on first read) U with U unimodular over the
+    ring and U @ (m / content) = [D; 0], D upper triangular with nonzero
+    pivots.  Raises ColumnRankDeficient when rank < cols.
     """
     if m.is_zero():
         raise ZeroMatrixError("hnf of the zero matrix")
@@ -479,12 +512,11 @@ def hnf(m: Matrix, ring: CoefficientRing) -> HnfResult:
     # over a local ring entries can be non-integers with unit denominator;
     # scale them away by a unit before the integer HNF
     a, s = _integer_rows(m.scale(1 / d)._data)
-    u, r = _hnf_int(a, m.cols)
+    r = _hnf_int(a, m.cols)
     if r < m.cols:
         raise ColumnRankDeficientError(f"rank {r} < {m.cols} columns")
-    u_mat = Matrix(u)
     d_mat = Matrix(a[: m.cols]).scale(Fraction(1, s))
-    return HnfResult(U=u_mat, D=d_mat, content=d, zero_rows=m.rows - m.cols, ring=ring)
+    return HnfResult(matrix=m, D=d_mat, content=d, zero_rows=m.rows - m.cols, ring=ring)
 
 
 # --- lattices ------------------------------------------------------------
@@ -514,9 +546,7 @@ def lattice_contains(lat: LatticeBasis, v) -> bool:
     if len(v) != lat.ambient_dim:
         raise DimensionMismatchError("vector length != ambient_dim")
     x = solve(lat.basis, v)
-    if x is None:
-        return False
-    return all(lat.ring.is_integral(c) for c in x)
+    return x is not None and all(lat.ring.is_integral(c) for c in x)
 
 
 def lattice_equal(a: LatticeBasis, b: LatticeBasis) -> bool:

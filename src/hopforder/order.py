@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .action import ActionBundle, NotInImageError, express_endomorphism, rep_matrix
+from .action import ActionBundle, rep_matrix
 from .linalg import (
     DimensionMismatchError,
     HnfResult,
@@ -22,6 +22,8 @@ from .linalg import (
     hnf,
     lattice_contains,
     lattice_equal,
+    solve_columns,
+    vec,
 )
 
 
@@ -102,7 +104,9 @@ def verify_order(ob: OrderBasis) -> OrderReport:
 
     Ring closure multiplies basis elements through their representing
     matrices and pulls the product back along rho, which is faithful
-    once j is bijective.
+    once j is bijective.  The unit and the n^2 products are pulled back
+    by one elimination of M and tested for membership by one of the
+    order basis.
     """
     bundle = ob.bundle
     ring = bundle.ring
@@ -110,28 +114,17 @@ def verify_order(ob: OrderBasis) -> OrderReport:
     integral_action = all(
         ring.is_integral(x) for row in ob.action_table for v in row for x in v
     )
-    lat = ob.lattice()
-
-    try:
-        one = express_endomorphism(bundle, Matrix.identity(n))
-        contains_one = lattice_contains(lat, one)
-    except NotInImageError:
-        contains_one = False
-
-    ring_closed = True
     reps = [rep_matrix(bundle, ob.basis_in_w.col(i)) for i in range(n)]
-    for i in range(n):
-        for k in range(n):
-            try:
-                prod = express_endomorphism(bundle, reps[i] @ reps[k])
-            except NotInImageError:
-                ring_closed = False
-                break
-            if not lattice_contains(lat, prod):
-                ring_closed = False
-                break
-        if not ring_closed:
-            break
+    targets = [Matrix.identity(n)] + [x @ y for x in reps for y in reps]
+    pulled_back = solve_columns(bundle.M, [vec(t) for t in targets])
+    # the basis is invertible, so a target outside the image of rho
+    # (None) can stand in as zero and be rejected below
+    coords = solve_columns(ob.basis_in_w, [h or (0,) * n for h in pulled_back])
+    member = [
+        h is not None and all(ring.is_integral(x) for x in c)
+        for h, c in zip(pulled_back, coords)
+    ]
+    contains_one, ring_closed = member[0], all(member[1:])
     return OrderReport(
         integral_action=integral_action,
         contains_one=contains_one,

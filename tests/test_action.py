@@ -1,8 +1,12 @@
 """Field presentations and Hopf action tables."""
 
+import itertools
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopforder.action import (
     ActionTable,
@@ -16,6 +20,7 @@ from hopforder.action import (
     rep_matrix_basis,
     verify_action,
 )
+from hopforder.induction import product_field
 from hopforder.linalg import CoefficientRing, Matrix, vec
 
 from conftest import load
@@ -69,6 +74,63 @@ def test_field_validate_rejects_nonassociative():
     )
     with pytest.raises(ValidationError, match="associativity"):
         f.validate()
+
+
+def associates(f, a, b, c) -> bool:
+    """(gamma_a gamma_b) gamma_c == gamma_a (gamma_b gamma_c), summed
+    entry by entry from the structure constants."""
+    n, sc = f.dim, f.structure_constants
+    left = [sum(sc[a][b][e] * sc[e][c][l] for e in range(n)) for l in range(n)]
+    right = [sum(sc[b][c][e] * sc[a][e][l] for e in range(n)) for l in range(n)]
+    return left == right
+
+
+def first_associativity_failure(f):
+    """The reference triple loop: the first failing (a, b, c), or None."""
+    triples = itertools.product(range(f.dim), repeat=3)
+    return next((t for t in triples if not associates(f, *t)), None)
+
+
+FIELDS = [load(name).field for name in ("quadratic", "cubic_eisenstein")] + [
+    product_field(load("cubic_eisenstein").field, load("quadratic").field)
+]
+
+
+@st.composite
+def perturbed_fields(draw):
+    """A fixture's table with a few symmetric changes away from the unit
+    row and column, so it stays commutative and unital."""
+    f = draw(st.sampled_from(FIELDS))
+    n = f.dim
+    sc = [[list(row) for row in plane] for plane in f.structure_constants]
+    others = [j for j in range(n) if j != f.one_index]
+    for _ in range(draw(st.integers(0, 2))):
+        j, k = draw(st.sampled_from(others)), draw(st.sampled_from(others))
+        l = draw(st.integers(0, n - 1))
+        delta = draw(st.fractions(-2, 2, max_denominator=3))
+        sc[j][k][l] += delta
+        if j != k:
+            sc[k][j][l] += delta
+    return FieldPresentation(
+        dim=n,
+        basis_labels=f.basis_labels,
+        structure_constants=sc,
+        one_index=f.one_index,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_fields())
+def test_validate_matches_the_triple_loop(f):
+    expected = first_associativity_failure(f)
+    if expected is None:
+        f.validate()
+        return
+    with pytest.raises(ValidationError, match="associativity fails") as exc:
+        f.validate()
+    named = tuple(map(int, re.search(r"\((\d+),(\d+),(\d+)\)", str(exc.value)).groups()))
+    assert not associates(f, *named)
+    assert named == expected
 
 
 def test_multiply_and_one():

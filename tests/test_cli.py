@@ -89,6 +89,18 @@ def test_free_search_miss_is_undecided(capsys, monkeypatch):
     assert r["free"] is None
 
 
+@pytest.mark.parametrize("bound", ["0", "-2"])
+def test_free_search_bound_below_one_is_reported(capsys, bound):
+    code, out, err = run(
+        capsys, "free", fixture_path("quadratic"), f"--search-bound={bound}"
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "ValueError",
+        "message": "bound must be >= 1",
+    }
+
+
 def test_induce_disjoint_pair(capsys):
     r = run_json(
         capsys,
@@ -239,6 +251,26 @@ def test_enum_degree_too_large(capsys, tmp_path):
     code, out, err = run(capsys, "enum", str(p))
     assert code == 1
     assert json.loads(err)["error"]["type"] == "DegreeTooLargeError"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda g: g.update(J=[0, 1, 9]), "J has an index outside 0..5"),
+        (lambda g: g.update(Gprime=[0, -3]), "Gprime has an index outside 0..5"),
+        (lambda g: g["cayley"][2].__setitem__(3, "x"), "Cayley entries must be"),
+    ],
+)
+def test_enum_reports_bad_group_indices(capsys, tmp_path, edit, message):
+    doc = json.loads(open(fixture_path("group_s3")).read())
+    edit(doc["group"])
+    p = tmp_path / "bad_group.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "enum", str(p), "--detect-induced")
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "GroupValidationError"
+    assert error["message"].startswith(message)
 
 
 def test_reports_are_deterministic(capsys):

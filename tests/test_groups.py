@@ -82,6 +82,18 @@ def test_group_data_decomposition_checks():
         GroupData(order=6, cayley=g.cayley, J=(0, 3), Gprime=(0, 1, 2))
 
 
+def test_group_data_rejects_indices_outside_the_group():
+    g = s3()
+    with pytest.raises(GroupValidationError, match="J has an index outside"):
+        GroupData(order=6, cayley=g.cayley, J=(0, 1, 9), Gprime=g.Gprime)
+    with pytest.raises(GroupValidationError, match="Gprime has an index outside"):
+        GroupData(order=6, cayley=g.cayley, J=g.J, Gprime=(-3, 0))
+    cayley = [list(r) for r in g.cayley]
+    cayley[2][3] = "x"
+    with pytest.raises(GroupValidationError, match="integer indices"):
+        GroupData(order=6, cayley=cayley)
+
+
 def test_factorize_unique():
     g = s3()
     fact = g.factorize()

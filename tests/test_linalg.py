@@ -23,6 +23,7 @@ from hopforder.linalg import (
     lattice_equal,
     rank,
     solve,
+    solve_columns,
     unvec,
     vec,
 )
@@ -124,8 +125,12 @@ def test_rank_and_solve():
     assert rank(m) == 2
     assert solve(m, (5, 10, 2)) == (1, 2)
     assert solve(m, (1, 0, 0)) is None
+    assert solve_columns(m, [(1, 0, 0), (5, 10, 2)]) == [None, (1, 2)]
+    assert solve_columns(m, []) == []
     with pytest.raises(ColumnRankDeficientError):
         solve(Matrix([[1, 2], [2, 4]]), (1, 2))
+    with pytest.raises(DimensionMismatchError):
+        solve_columns(m, [(5, 10, 2), (1, 2)])
 
 
 def test_determinant_known_values():
@@ -372,6 +377,34 @@ def test_solve_rational_property(m, x, t):
     assert m.apply(solve(m, v)) == v
     off_span = tuple(c + t * e for c, e in zip(v, normal))
     assert solve(m, off_span) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rational_matrices(3, 2),
+    st.lists(
+        st.tuples(
+            st.lists(rational, min_size=2, max_size=2).map(tuple),
+            st.one_of(st.just(Fraction(0)), rational),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_solve_columns_rational_property(m, columns):
+    # column k is m @ x_k moved off the span by t_k times the cross
+    # product of m's columns, so it is consistent exactly when t_k = 0
+    (a1, a2, a3), (b1, b2, b3) = m.col(0), m.col(1)
+    normal = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+    vs = [
+        tuple(c + t * e for c, e in zip(m.apply(x), normal)) for x, t in columns
+    ]
+    if not any(normal):
+        with pytest.raises(ColumnRankDeficientError):
+            solve_columns(m, vs)
+        return
+    assert solve_columns(m, vs) == [x if t == 0 else None for x, t in columns]
+    assert solve_columns(m, vs) == [solve(m, v) for v in vs]
 
 
 @settings(max_examples=100, deadline=None)

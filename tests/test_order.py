@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopforder import linalg
+from hopforder.induction import induce_action
 from hopforder.linalg import (
     CoefficientRing,
     LatticeBasis,
@@ -21,7 +23,7 @@ from hopforder.order import (
     verify_order,
 )
 
-from conftest import bundle_for
+from conftest import bundle_for, load
 
 Z = CoefficientRing.integers()
 Z3 = CoefficientRing.localized_at(3)
@@ -41,6 +43,36 @@ def test_action_table_is_computed_on_first_read():
     table = ob.action_table
     assert vars(ob)["action_table"] is table
     assert "action_table" not in vars(ob.with_basis(ob.basis_in_w))
+
+
+def test_hnf_transform_is_built_on_first_read():
+    ob = associated_order(bundle_for("cubic_eisenstein"))
+    res = ob.hnf_result
+    assert "U" not in vars(res)
+    u = res.U
+    assert vars(res)["U"] is u
+    assert u @ ob.bundle.M.scale(1 / res.content) == res.D.stack(
+        Matrix.zero(res.zero_rows, 3)
+    )
+    assert determinant(u) in (1, -1)
+
+
+def test_verify_order_eliminates_twice(monkeypatch):
+    # degree 6: one elimination of M for the unit and all 36 products,
+    # and one of the order basis for their membership, not one per target
+    left, right = load("cubic_eisenstein_alt"), load("quadratic_i_local3")
+    ob = induce_action(left.hopf, right.hopf, left.ring).order
+    eliminations = []
+    real = linalg._echelon
+
+    def counting(a, n_cols):
+        eliminations.append(n_cols)
+        return real(a, n_cols)
+
+    monkeypatch.setattr(linalg, "_echelon", counting)
+    rep = verify_order(ob)
+    assert rep.integral_action and rep.contains_one and rep.ring_closed
+    assert eliminations == [6, 6]
 
 
 def test_quadratic_idempotent_basis_is_same_lattice():
