@@ -41,7 +41,6 @@ from .groups import (
     complements_of,
     detect_induced,
     enumerate_regular_subgroups,
-    translation_actions,
     with_complement,
 )
 from .induction import (
@@ -241,10 +240,21 @@ def cmd_enum(args) -> dict:
     if doc.group is None:
         raise CliError("missing-section", "document needs a 'group' section")
     g = doc.group
-    acts = translation_actions(g)
-    subs = enumerate_regular_subgroups(g.order, list(acts.lam))
-    lam_set = frozenset(acts.lam)
-    rho_set = frozenset(acts.rho)
+    subs = enumerate_regular_subgroups(g)
+    lam_set = frozenset(g.translations.lam)
+    rho_set = frozenset(g.translations.rho)
+    if args.detect_induced:
+        if g.J is None:
+            raise CliError(
+                "missing-decomposition",
+                "--detect-induced needs J and Gprime in the group section",
+            )
+        # try the document's complement first, then every other
+        # complement of J: a structure is induced when it factors
+        # through any of the decompositions G = J x| G'_d
+        decompositions = [g] + [
+            with_complement(g, c) for c in complements_of(g) if c != g.Gprime
+        ]
     entries = []
     for sub in subs:
         entry = {
@@ -254,22 +264,11 @@ def cmd_enum(args) -> dict:
             "is_right_translations": frozenset(sub.elements) == rho_set,
         }
         if args.detect_induced:
-            if g.J is None:
-                raise CliError(
-                    "missing-decomposition",
-                    "--detect-induced needs J and Gprime in the group section",
-                )
-            # try the document's complement first, then every other
-            # complement of J: a structure is induced when it factors
-            # through any of the decompositions G = J x| G'_d
             pair, used = None, None
-            candidates = [g.Gprime] + [
-                c for c in complements_of(g) if c != g.Gprime
-            ]
-            for gprime in candidates:
-                pair = detect_induced(with_complement(g, gprime), sub)
+            for gd in decompositions:
+                pair = detect_induced(gd, sub)
                 if pair is not None:
-                    used = gprime
+                    used = gd.Gprime
                     break
             entry["induced"] = pair is not None
             if pair is not None:

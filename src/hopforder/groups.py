@@ -1,16 +1,23 @@
-"""Regular subgroups of Perm(X) and induced-structure detection.
+"""Regular subgroups of Perm(G) normalized by lambda(G), their
+isomorphism types, and induced-structure detection.
 
-Enumeration follows the translation picture: a subgroup N of Sym(X)
-with |N| = |X|, every non-identity element fixed-point-free, and
-g N g^-1 = N for each generator g of the normalizer.  Search is by
-backtracking on semiregular elements, closing each partial subgroup
-under products and normalizer conjugation.
+These subgroups are the Hopf Galois structures on a Galois extension
+with group G (Greither-Pareigis).  They are enumerated through Byott's
+translation (Byott 1996, "Uniqueness of Hopf Galois structure for
+separable field extensions"): for each group N of order |G|, the regular
+subgroups of the holomorph Hol(N) = lambda(N) Aut(N) that are isomorphic
+to G give, through an isomorphism, the subgroups isomorphic to N.  The
+groups N are the standard models, which list every group of order up to
+ORDER_CAP.  Automorphisms and isomorphisms come from one backtracker
+that extends partial homomorphisms of Cayley tables.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class DegreeTooLargeError(Exception):
@@ -29,8 +36,8 @@ class GroupValidationError(Exception):
     pass
 
 
-DEGREE_CAP = 12
-CLASSIFY_CAP = 15
+# _standard_models lists every group of order up to this cap
+ORDER_CAP = 15
 
 
 @dataclass(frozen=True, order=True)
@@ -193,16 +200,25 @@ class GroupData:
 
     def factorize(self):
         """Unique factorization g = sigma tau with sigma in J, tau in G'."""
+        return {
+            x: (self.J[i], self.Gprime[k]) for x, (i, k) in enumerate(self.coordinates)
+        }
+
+    @cached_property
+    def coordinates(self) -> tuple:
+        """(i, k) with g = J[i] Gprime[k] for each element g, computed once."""
         if self.J is None:
             raise NoDecompositionError("group carries no decomposition")
-        fact = {}
-        for s in self.J:
-            for t in self.Gprime:
-                g = self.mul(s, t)
-                if g in fact:
-                    raise GroupValidationError("factorization is not unique")
-                fact[g] = (s, t)
-        return fact
+        coords = {}
+        for i, s in enumerate(self.J):
+            for k, t in enumerate(self.Gprime):
+                coords[self.mul(s, t)] = (i, k)
+        return tuple(coords[x] for x in range(self.order))
+
+    @cached_property
+    def translations(self) -> "TranslationActions":
+        """translation_actions(self), computed once."""
+        return translation_actions(self)
 
 
 @dataclass(frozen=True)
@@ -224,19 +240,18 @@ def translation_actions(g: GroupData) -> TranslationActions:
     )
     if g.J is None:
         return TranslationActions(lam=lam, rho=rho)
-    fact = g.factorize()
-    j_pos = {x: i for i, x in enumerate(g.J)}
-    t_pos = {x: i for i, x in enumerate(g.Gprime)}
+    coords = g.coordinates
     lambda_c = []
     for a in range(m):
-        sigma, tau = fact[a]
+        i, k = coords[a]
+        sigma, tau = g.J[i], g.Gprime[k]
         tau_inv = g.inverse(tau)
         imgs = [
-            j_pos[g.mul(sigma, g.mul(g.mul(tau, s), tau_inv))] for s in g.J
+            coords[g.mul(sigma, g.mul(g.mul(tau, s), tau_inv))][0] for s in g.J
         ]
         lambda_c.append(Permutation(tuple(imgs)))
     lambda_prime = tuple(
-        Permutation(tuple(t_pos[g.mul(t, x)] for x in g.Gprime))
+        Permutation(tuple(coords[g.mul(t, x)][1] for x in g.Gprime))
         for t in g.Gprime
     )
     return TranslationActions(
@@ -276,106 +291,93 @@ class RegularSubgroup:
         )
 
 
-def _semiregular_candidates(degree, target):
-    """Fixed-point-free permutations with equal cycle lengths sending 0 to
-    `target`, generated cycle by cycle."""
-    out = []
-    for ell in range(2, degree + 1):
-        if degree % ell:
-            continue
-        _build_semiregular(degree, ell, target, out)
-    return out
-
-
-def _build_semiregular(degree, ell, target, out):
-    # place points into cycles of length ell; the cycle through 0 starts 0 -> target
-    def extend(cycles, current, remaining):
-        if current is not None:
-            if len(current) == ell:
-                start = current[0]
-                if current[1] != target and start == 0:
-                    return
-                cycles = cycles + [tuple(current)]
-                current = None
-            else:
-                for x in sorted(remaining):
-                    if current[0] == 0 and len(current) == 1 and x != target:
-                        continue
-                    extend(cycles, current + [x], remaining - {x})
-                return
-        if not remaining:
-            imgs = list(range(degree))
-            for cyc in cycles:
-                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                    imgs[a] = b
-            out.append(Permutation(tuple(imgs)))
-            return
-        start = min(remaining)
-        extend(cycles, [start], remaining - {start})
-
-    extend([], [0], set(range(degree)) - {0})
-
-
-def _close(partial, new_elem, conj_gens, cap):
-    """Close partial u {new} under products, inverses and conjugation.
-
-    Returns the closed set, or None when a fixed point appears or the
-    size cap is exceeded.
-    """
-    elems = set(partial)
-    frontier = [new_elem]
-    elems.add(new_elem)
+def _semiregular_closure(gens, e):
+    """The subgroup generated by gens, as {p(e): p}, or None when two of
+    its elements agree at e (it is not semiregular)."""
+    sub = {e: Permutation.identity(gens[0].degree)}
+    frontier = [sub[e]]
     while frontier:
-        item = frontier.pop()
-        candidates = [item.inverse()]
-        candidates.extend(item * b for b in list(elems))
-        candidates.extend(b * item for b in list(elems))
-        candidates.extend(
-            gperm * item * gperm.inverse() for gperm in conj_gens
-        )
-        for c in candidates:
-            if c in elems:
+        p = frontier.pop()
+        for s in gens:
+            q = s * p
+            old = sub.get(q(e))
+            if old is None:
+                sub[q(e)] = q
+                frontier.append(q)
+            elif old != q:
+                return None
+    return sub
+
+
+def _holomorph_regular_subgroups(lam, auts, e):
+    """Regular subgroups M of Hol(N) = lambda(N) Aut(N), one per
+    Aut(N)-conjugacy class, each as {m(e): m}.
+
+    Backtracking: the next generator is some lambda(x) alpha for the
+    least point x not yet covered, and each generated subgroup is
+    explored once."""
+    n = len(lam)
+    found, seen = [], set()
+    stack = [([], {e: Permutation.identity(n)})]
+    while stack:
+        gens, sub = stack.pop()
+        if len(sub) == n:
+            found.append(sub)
+            continue
+        x = min(set(range(n)) - sub.keys())
+        for c in (lam[x] * a for a in auts):
+            closed = _semiregular_closure(gens + [c], e)
+            if closed is None:
                 continue
-            if not c.is_identity() and not c.is_fixed_point_free():
-                return None
-            elems.add(c)
-            if len(elems) > cap:
-                return None
-            frontier.append(c)
-    return elems
+            key = frozenset(closed.values())
+            if key not in seen:
+                seen.add(key)
+                stack.append((gens + [c], closed))
+    classes, conjugates = [], set()
+    for sub in found:
+        if frozenset(sub.values()) not in conjugates:
+            classes.append(sub)
+            conjugates.update(
+                frozenset(a * m * a.inverse() for m in sub.values()) for a in auts
+            )
+    return classes
 
 
-def enumerate_regular_subgroups(degree: int, normalizer_gens) -> list:
-    """All regular subgroups of Sym({0..degree-1}) normalized by the
-    given generators, canonically sorted."""
-    if degree > DEGREE_CAP:
-        raise DegreeTooLargeError(f"degree {degree} exceeds cap {DEGREE_CAP}")
-    gens = list(normalizer_gens)
-    for p in gens:
-        if p.degree != degree:
-            raise GroupValidationError("generator degree mismatch")
-    if degree == 1:
-        return [RegularSubgroup(elements=(Permutation.identity(1),), degree=1)]
+def enumerate_regular_subgroups(g: GroupData) -> list:
+    """All regular subgroups of Perm(G) normalized by lambda(G),
+    canonically sorted, through Byott's translation (Byott 1996).
 
-    found = {}
-
-    def search(current):
-        if len(current) == degree:
-            key = tuple(sorted(p.images for p in current))
-            if key not in found:
-                sub = RegularSubgroup(elements=tuple(current), degree=degree)
-                sub.validate()
-                found[key] = sub
-            return
-        covered = {p(0) for p in current}
-        target = min(set(range(degree)) - covered)
-        for cand in _semiregular_candidates(degree, target):
-            closed = _close(current, cand, gens, degree)
-            if closed is not None:
-                search(closed)
-
-    search({Permutation.identity(degree)})
-    return [found[k] for k in sorted(found)]
+    For each model N of order |G| and each regular subgroup M of Hol(N)
+    isomorphic to G (up to Aut(N)-conjugacy), an isomorphism G -> M read
+    as the bijection a: G -> N, g -> (image of g)(e_N), carries lambda(N)
+    to a^-1 lambda(N) a, which lambda(G) normalizes; its conjugates under
+    Aut(G) are the rest of the subgroups M gives.  Every result is checked
+    to be regular and normalized by lambda(G)."""
+    n = g.order
+    if n > ORDER_CAP:
+        raise DegreeTooLargeError(f"degree {n} exceeds cap {ORDER_CAP}")
+    auts_g = [Permutation(t) for t in _isomorphisms(g.cayley, g.cayley)]
+    found = set()
+    for _, table in _standard_models(n):
+        lam = [Permutation(row) for row in table]
+        auts = [Permutation(t) for t in _isomorphisms(table, table)]
+        for sub in _holomorph_regular_subgroups(lam, auts, _identity(table)):
+            # M's Cayley table on the points of N: m_x m_y = m_{m_x(y)}
+            a = next(_isomorphisms(g.cayley, [sub[x].images for x in range(n)]), None)
+            if a is None:
+                continue
+            a = Permutation(a)
+            transported = [a.inverse() * p * a for p in lam]
+            for theta in auts_g:
+                found.add(tuple(sorted(theta * p * theta.inverse() for p in transported)))
+    subs = [RegularSubgroup(elements=key, degree=n) for key in sorted(found)]
+    for sub in subs:
+        sub.validate()
+        elems = set(sub.elements)
+        for t in g.translations.lam:
+            if any(t * p * t.inverse() not in elems for p in elems):
+                raise GroupValidationError("not normalized by lambda(G)")
+    return subs
 
 
 # --- isomorphism classification -----------------------------------------
@@ -448,9 +450,9 @@ def _abelian_models(n):
     """(name, table) for every abelian type of order n, by invariant factors."""
     out = []
     for factors in _invariant_factor_chains(n):
-        name = "x".join(f"C{f}" for f in factors)
-        table = _cyclic(factors[0])
-        for f in factors[1:]:
+        name = "x".join(f"C{f}" for f in factors) or "C1"
+        table = _cyclic(1)
+        for f in factors:
             table = _direct(table, _cyclic(f))
         out.append((name, table))
     return out
@@ -476,10 +478,15 @@ def _invariant_factor_chains(n):
     return sorted(set(chains), key=lambda c: (len(c), c))
 
 
+def _identity(table):
+    n = len(table)
+    return next(i for i in range(n) if all(table[i][j] == j for j in range(n)))
+
+
 def _element_orders(table):
     """Order of each element, indexed by element."""
     n = len(table)
-    e = next(i for i in range(n) if all(table[i][j] == j for j in range(n)))
+    e = _identity(table)
     orders = []
     for a in range(n):
         k, x = 1, a
@@ -490,32 +497,36 @@ def _element_orders(table):
     return orders
 
 
-def is_isomorphic(table1, table2) -> bool:
-    """Backtracking isomorphism test on Cayley tables."""
+def _isomorphisms(table1, table2):
+    """Every isomorphism between two Cayley tables, as a tuple of images,
+    by extending a partial homomorphism one generator at a time."""
     n = len(table1)
     if len(table2) != n:
-        return False
+        return
     ord1, ord2 = _element_orders(table1), _element_orders(table2)
     if sorted(ord1) != sorted(ord2):
-        return False
-    e1 = next(i for i in range(n) if all(table1[i][j] == j for j in range(n)))
-    e2 = next(i for i in range(n) if all(table2[i][j] == j for j in range(n)))
+        return
 
-    def extend(mapping, generated):
-        if len(generated) == n:
-            return True
-        g = next(i for i in range(n) if i not in generated)
+    stack = [{_identity(table1): _identity(table2)}]
+    while stack:
+        mapping = stack.pop()
+        if len(mapping) == n:
+            yield tuple(mapping[a] for a in range(n))
+            continue
+        g = next(i for i in range(n) if i not in mapping)
+        used = set(mapping.values())
         for h in range(n):
-            if h in mapping.values() or ord1[g] != ord2[h]:
+            if h in used or ord1[g] != ord2[h]:
                 continue
             new_map = dict(mapping)
             new_map[g] = h
             if _close_homomorphism(table1, table2, new_map):
-                if extend(new_map, set(new_map)):
-                    return True
-        return False
+                stack.append(new_map)
 
-    return extend({e1: e2}, {e1})
+
+def is_isomorphic(table1, table2) -> bool:
+    """Backtracking isomorphism test on Cayley tables."""
+    return next(_isomorphisms(table1, table2), None) is not None
 
 
 def _close_homomorphism(table1, table2, mapping):
@@ -562,13 +573,10 @@ def _standard_models(n):
 def classify_type(subgroup: RegularSubgroup) -> str:
     """Standard name of the isomorphism class, for order <= 15."""
     n = len(subgroup.elements)
-    if n > CLASSIFY_CAP:
-        raise OrderTooLargeError(f"order {n} exceeds cap {CLASSIFY_CAP}")
+    if n > ORDER_CAP:
+        raise OrderTooLargeError(f"order {n} exceeds cap {ORDER_CAP}")
     table = subgroup.cayley_table()
-    fingerprint = sorted(_element_orders(table))
     for name, model in _standard_models(n):
-        if fingerprint != sorted(_element_orders(model)):
-            continue
         if is_isomorphic(table, model):
             return name
     raise GroupValidationError("group matches no standard model")
@@ -591,7 +599,7 @@ def subgroups_of_order(g: GroupData, u: int):
     """All subgroups of the given order, as sorted index tuples.
 
     Brute force over generating subsets of size <= 3, which covers every
-    group of order <= 12."""
+    group of order <= 15."""
     if u < 1 or g.order % u:
         return []
     if u == 1:
@@ -620,13 +628,7 @@ def complements_of(g: GroupData):
 
 def with_complement(g: GroupData, gprime) -> GroupData:
     """The same group data with another complement of J."""
-    return GroupData(
-        order=g.order,
-        cayley=g.cayley,
-        element_names=g.element_names,
-        J=g.J,
-        Gprime=tuple(gprime),
-    )
+    return dataclasses.replace(g, Gprime=tuple(gprime))
 
 
 # --- induced-structure detection ----------------------------------------
@@ -634,15 +636,9 @@ def with_complement(g: GroupData, gprime) -> GroupData:
 
 def iota(g: GroupData, phi: Permutation, psi: Permutation) -> Permutation:
     """The product permutation of G determined by (phi, psi) on J x G'."""
-    fact = g.factorize()
-    j_list, t_list = list(g.J), list(g.Gprime)
-    j_pos = {x: i for i, x in enumerate(j_list)}
-    t_pos = {x: i for i, x in enumerate(t_list)}
-    imgs = [0] * g.order
-    for x in range(g.order):
-        s, t = fact[x]
-        imgs[x] = g.mul(j_list[phi(j_pos[s])], t_list[psi(t_pos[t])])
-    return Permutation(tuple(imgs))
+    return Permutation(
+        tuple(g.mul(g.J[phi(i)], g.Gprime[psi(k)]) for i, k in g.coordinates)
+    )
 
 
 def detect_induced(g: GroupData, n_sub: RegularSubgroup):
@@ -655,26 +651,20 @@ def detect_induced(g: GroupData, n_sub: RegularSubgroup):
         raise NoDecompositionError("group carries no decomposition")
     if n_sub.degree != g.order:
         raise GroupValidationError("subgroup degree must equal |G|")
-    fact = g.factorize()
-    j_list, t_list = list(g.J), list(g.Gprime)
-    j_pos = {x: i for i, x in enumerate(j_list)}
-    t_pos = {x: i for i, x in enumerate(t_list)}
-
+    coords = g.coordinates
     n1, n2 = set(), set()
     for p in n_sub.elements:
-        phi = [None] * len(j_list)
-        psi = [None] * len(t_list)
-        for x in range(g.order):
-            s, t = fact[x]
-            s2, t2 = fact[p(x)]
-            a, b = j_pos[s], t_pos[t]
+        phi = [None] * len(g.J)
+        psi = [None] * len(g.Gprime)
+        for x, (a, b) in enumerate(coords):
+            a2, b2 = coords[p(x)]
             if phi[a] is None:
-                phi[a] = j_pos[s2]
-            elif phi[a] != j_pos[s2]:
+                phi[a] = a2
+            elif phi[a] != a2:
                 return None
             if psi[b] is None:
-                psi[b] = t_pos[t2]
-            elif psi[b] != t_pos[t2]:
+                psi[b] = b2
+            elif psi[b] != b2:
                 return None
         n1.add(Permutation(tuple(phi)))
         n2.add(Permutation(tuple(psi)))
@@ -687,17 +677,14 @@ def detect_induced(g: GroupData, n_sub: RegularSubgroup):
             if iota(g, phi, psi) not in elems:
                 return None
 
-    acts = translation_actions(g)
-    for phi in n1:
-        for a in acts.lambda_c:
-            if a * phi * a.inverse() not in n1:
-                return None
-    for psi in n2:
-        for a in acts.lambda_prime:
-            if a * psi * a.inverse() not in n2:
-                return None
-    sub1 = RegularSubgroup(elements=tuple(n1), degree=len(j_list))
-    sub2 = RegularSubgroup(elements=tuple(n2), degree=len(t_list))
+    acts = g.translations
+    for factor, normalizer in ((n1, acts.lambda_c), (n2, acts.lambda_prime)):
+        for p in factor:
+            for a in normalizer:
+                if a * p * a.inverse() not in factor:
+                    return None
+    sub1 = RegularSubgroup(elements=tuple(n1), degree=len(g.J))
+    sub2 = RegularSubgroup(elements=tuple(n2), degree=len(g.Gprime))
     sub1.validate()
     sub2.validate()
     return sub1, sub2

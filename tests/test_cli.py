@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hopforder import cli, induction, order
+from hopforder import cli, groups, induction, order
 from hopforder.cli import main
 
 from conftest import fixture_path, i_over_3_document
@@ -244,13 +244,50 @@ def test_enum_c2(capsys):
 
 
 def test_enum_degree_too_large(capsys, tmp_path):
-    n = 13
+    n = 16
     cayley = [[(i + j) % n for j in range(n)] for i in range(n)]
     p = tmp_path / "c13.json"
     p.write_text(json.dumps({"group": {"order": n, "cayley": cayley}}))
     code, out, err = run(capsys, "enum", str(p))
     assert code == 1
     assert json.loads(err)["error"]["type"] == "DegreeTooLargeError"
+
+
+@pytest.mark.parametrize(
+    "j, gprime, trivial",
+    [([0], [0, 1, 2, 3, 4, 5], "N1"), ([0, 1, 2, 3, 4, 5], [0], "N2")],
+    ids=["trivial_J", "trivial_Gprime"],
+)
+def test_enum_detects_through_a_trivial_factor(capsys, tmp_path, j, gprime, trivial):
+    # G = 1 x| G or G x| 1: every structure is induced, with the trivial
+    # factor on one point
+    doc = json.loads(open(fixture_path("group_s3")).read())
+    doc["group"].update(J=j, Gprime=gprime)
+    p = tmp_path / "s3_trivial_factor.json"
+    p.write_text(json.dumps(doc))
+    r = run_json(capsys, "enum", str(p), "--detect-induced")
+    assert r["count"] == 5
+    other = "N2" if trivial == "N1" else "N1"
+    for s in r["subgroups"]:
+        assert s["induced"]
+        assert s["factors"][trivial] == [[0]]
+        assert s["factors"][f"{trivial}_type"] == "C1"
+        assert s["factors"][f"{other}_type"] == s["type"]
+
+
+def test_enum_computes_complements_and_actions_once(capsys, monkeypatch):
+    complements, actions = [], []
+    real_complements, real_actions = cli.complements_of, groups.translation_actions
+    monkeypatch.setattr(
+        cli, "complements_of", lambda g: complements.append(g) or real_complements(g)
+    )
+    monkeypatch.setattr(
+        groups, "translation_actions", lambda g: actions.append(g) or real_actions(g)
+    )
+    r = run_json(capsys, "enum", fixture_path("group_s3"), "--detect-induced")
+    assert r["count"] == 5 and len(complements) == 1
+    # one per decomposition G = J x| G'_d: the document's and two others
+    assert len(actions) == 3
 
 
 @pytest.mark.parametrize(

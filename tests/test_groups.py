@@ -1,5 +1,9 @@
 """Regular subgroups, translation actions, classification, induction detection."""
 
+import functools
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,9 +24,11 @@ from hopforder.groups import (
     is_isomorphic,
     translation_actions,
     with_complement,
+    _standard_models,
 )
 
 from conftest import load
+from enumeration_oracle import search_regular_subgroups
 
 
 def s3() -> GroupData:
@@ -35,6 +41,27 @@ def c2() -> GroupData:
 
 def klein() -> GroupData:
     return load("group_c2xc2").group
+
+
+def cyclic_group(n) -> GroupData:
+    return GroupData(order=n, cayley=[[(i + j) % n for j in range(n)] for i in range(n)])
+
+
+def relabelled(table, perm) -> GroupData:
+    """The group with element x renamed perm[x]."""
+    n = len(table)
+    cayley = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            cayley[perm[a]][perm[b]] = perm[table[a][b]]
+    return GroupData(order=n, cayley=cayley)
+
+
+def model(name) -> tuple:
+    return next(t for n in range(1, 16) for m, t in _standard_models(n) if m == name)
+
+
+SMALL_GROUPS = [m for n in range(1, 9) for m, _ in _standard_models(n)]
 
 
 # --- permutations --------------------------------------------------------
@@ -148,15 +175,14 @@ def test_lambda_prime_is_left_regular_on_gprime():
 
 
 def test_enumeration_degree_2():
-    acts = translation_actions(c2())
-    subs = enumerate_regular_subgroups(2, list(acts.lam))
+    subs = enumerate_regular_subgroups(c2())
     assert len(subs) == 1
     assert classify_type(subs[0]) == "C2"
 
 
 def test_enumeration_degree_3_with_s3_normalizer():
     gens = [Permutation((1, 0, 2)), Permutation((1, 2, 0))]
-    subs = enumerate_regular_subgroups(3, gens)
+    subs = search_regular_subgroups(3, gens)
     assert len(subs) == 1
     assert classify_type(subs[0]) == "C3"
 
@@ -164,7 +190,7 @@ def test_enumeration_degree_3_with_s3_normalizer():
 def test_enumeration_s3_contents():
     g = s3()
     acts = translation_actions(g)
-    subs = enumerate_regular_subgroups(6, list(acts.lam))
+    subs = enumerate_regular_subgroups(g)
     families = [frozenset(s.elements) for s in subs]
     assert frozenset(acts.lam) in families
     assert frozenset(acts.rho) in families
@@ -176,7 +202,7 @@ def test_enumeration_s3_contents():
 def test_enumeration_results_are_valid_and_normalized():
     g = s3()
     acts = translation_actions(g)
-    for sub in enumerate_regular_subgroups(6, list(acts.lam)):
+    for sub in enumerate_regular_subgroups(g):
         sub.validate()
         sub.validate(base_point=4)  # regularity is base-point independent
         elems = set(sub.elements)
@@ -187,14 +213,72 @@ def test_enumeration_results_are_valid_and_normalized():
 
 def test_enumeration_degree_cap():
     with pytest.raises(DegreeTooLargeError):
-        enumerate_regular_subgroups(13, [Permutation.identity(13)])
+        enumerate_regular_subgroups(cyclic_group(16))
 
 
 def test_enumeration_is_deterministic():
-    acts = translation_actions(s3())
-    a = enumerate_regular_subgroups(6, list(acts.lam))
-    b = enumerate_regular_subgroups(6, list(acts.lam))
+    a = enumerate_regular_subgroups(s3())
+    b = enumerate_regular_subgroups(s3())
     assert [s.elements for s in a] == [s.elements for s in b]
+
+
+@pytest.mark.parametrize("name", SMALL_GROUPS)
+def test_holomorph_route_matches_the_search_oracle(name):
+    # every group of order <= 8, relabelled so that the identity is
+    # rarely element 0
+    table = model(name)
+    perm = list(range(len(table)))
+    random.Random(name).shuffle(perm)
+    g = relabelled(table, perm)
+    oracle = search_regular_subgroups(g.order, translation_actions(g).lam)
+    assert enumerate_regular_subgroups(g) == oracle
+
+
+@functools.cache
+def model_enumeration(name):
+    table = model(name)
+    return enumerate_regular_subgroups(relabelled(table, range(len(table))))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["S3", "C2xC2", "C3xC3", "D10", "Q8"]), st.randoms(use_true_random=False))
+def test_enumeration_is_relabelling_equivariant(name, rnd):
+    table = model(name)
+    perm = list(range(len(table)))
+    rnd.shuffle(perm)
+    moved = Permutation(tuple(perm))
+    expected = {
+        frozenset(moved * p * moved.inverse() for p in s.elements)
+        for s in model_enumeration(name)
+    }
+    after = enumerate_regular_subgroups(relabelled(table, perm))
+    assert {frozenset(s.elements) for s in after} == expected
+
+
+@pytest.mark.parametrize(
+    "name, types",
+    [("C10", {"C10": 1, "D10": 2}), ("D10", {"C10": 5, "D10": 2})],
+)
+def test_order_10_counts(name, types):
+    # Byott's counts for |G| = pq with q = 2, p = 5: 2q - 1 = 3 for the
+    # cyclic group and 2 + p(2q - 3) = 7 for the dihedral group
+    subs = enumerate_regular_subgroups(relabelled(model(name), range(10)))
+    assert Counter(classify_type(s) for s in subs) == types
+
+
+@pytest.mark.parametrize("name", ["C12", "C2xC6", "D12", "Dic3", "A4"])
+def test_order_12_results_are_valid_and_normalized(name):
+    g = relabelled(model(name), range(12))
+    acts = translation_actions(g)
+    subs = enumerate_regular_subgroups(g)
+    families = {frozenset(s.elements) for s in subs}
+    assert frozenset(acts.lam) in families and frozenset(acts.rho) in families
+    for sub in subs:
+        sub.validate()
+        elems = set(sub.elements)
+        for gperm in acts.lam:
+            for p in sub.elements:
+                assert gperm * p * gperm.inverse() in elems
 
 
 # --- classification ------------------------------------------------------
@@ -247,7 +331,7 @@ def test_classify_s3_models():
 def test_detect_induced_c6_in_s3():
     g = s3()
     acts = translation_actions(g)
-    subs = enumerate_regular_subgroups(6, list(acts.lam))
+    subs = enumerate_regular_subgroups(g)
     c6s = [s for s in subs if classify_type(s) == "C6"]
     assert len(c6s) == 3
     comps = complements_of(g)
@@ -264,7 +348,7 @@ def test_detect_induced_c6_in_s3():
 def test_detect_induced_reconstructs_via_iota():
     g = s3()
     acts = translation_actions(g)
-    subs = enumerate_regular_subgroups(6, list(acts.lam))
+    subs = enumerate_regular_subgroups(g)
     for sub in subs:
         pair = detect_induced(g, sub)
         if pair is None:

@@ -233,6 +233,31 @@ def test_lattice_membership_and_equality():
     assert lattice_equal(lat, other)
 
 
+def test_lattice_equal_eliminates_once_per_side(monkeypatch):
+    # one elimination of [basis | other's columns] per side, not one per column
+    from hopforder import linalg
+
+    basis = Matrix([[1, 0, 0, 0], [0, 3, 0, 0], [0, 0, Fraction(1, 2), 0], [0, 0, 0, 9]])
+    change = Matrix([[1, 2, 0, -1], [0, 1, 5, 0], [0, 0, 1, 3], [0, 0, 0, 1]])
+    lat = LatticeBasis(4, basis, Z)
+    same = LatticeBasis(4, basis @ change, Z)
+    finer = LatticeBasis(4, basis @ Matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]]), Z)
+    eliminations = []
+    real = linalg._echelon
+
+    def counting(a, n_cols):
+        eliminations.append(n_cols)
+        return real(a, n_cols)
+
+    monkeypatch.setattr(linalg, "_echelon", counting)
+    assert lattice_equal(lat, same)
+    assert eliminations == [4, 4]
+    eliminations.clear()
+    # lat is not inside the sublattice `finer`, which ends the test after one side
+    assert not lattice_equal(lat, finer)
+    assert eliminations == [4]
+
+
 def test_lattice_rejects_dependent_basis():
     with pytest.raises(ColumnRankDeficientError):
         LatticeBasis(2, Matrix([[1, 2], [2, 4]]), Z)
