@@ -39,7 +39,6 @@ from .groups import (
     GroupData,
     GroupValidationError,
     NoDecompositionError,
-    OrderTooLargeError,
     Permutation,
     RegularSubgroup,
     classify_type,

@@ -73,16 +73,14 @@ class FieldPresentation:
             for l in range(n):
                 if sc[j0][k][l] != (1 if k == l else 0):
                     raise ValidationError("unit axiom fails")
-        # mult[j] = L_j, and column a*n+b of `left` is vec(L_{gamma_a gamma_b}).
-        # Associativity is L_{gamma_a gamma_b} = L_a @ L_b; in column c the
-        # two sides are (gamma_a gamma_b) gamma_c and gamma_a (gamma_b gamma_c).
-        mult = [Matrix.from_cols(plane) for plane in sc]
-        left = _vec_mult(self) @ Matrix.from_cols([ab for plane in sc for ab in plane])
-        for a, b in itertools.product(range(n), repeat=2):
-            pairs = zip(left.col(a * n + b), vec(mult[a] @ mult[b]))
-            i = next((i for i, (x, y) in enumerate(pairs) if x != y), None)
-            if i is not None:
-                raise ValidationError(f"associativity fails at ({a},{b},{i // n})")
+        # g[a*n+b][c*n:c*n+n] holds the coordinates of (gamma_a gamma_b) gamma_c
+        # over g's denominator; by commutativity gamma_a (gamma_b gamma_c)
+        # is (gamma_b gamma_c) gamma_a, at g[b*n+c][a*n:a*n+n]
+        planes = [itertools.chain.from_iterable(plane) for plane in sc]
+        g = (Matrix([ab for plane in sc for ab in plane]) @ Matrix(planes)).ints
+        for a, b, c in itertools.product(range(n), repeat=3):
+            if g[a * n + b][c * n : c * n + n] != g[b * n + c][a * n : a * n + n]:
+                raise ValidationError(f"associativity fails at ({a},{b},{c})")
 
     def multiply(self, x, y):
         """Coordinates of the product of two coordinate vectors."""
@@ -196,12 +194,15 @@ def verify_action(bundle: ActionBundle) -> ActionReport:
     """
     n = bundle.dim
     rank_ok = rank(bundle.M) == n
-    prods = []
-    for plane in bundle.table.field.structure_constants:
-        mj = Matrix.from_cols(plane)
-        for i in range(n):
-            prods.append(vec(mj @ rep_matrix_basis(bundle.table, i)))
-    j_bijective = rank(Matrix.from_cols(prods)) == n * n
+    reps = [rep_matrix_basis(bundle.table, i) for i in range(n)]
+    # a row per product, its integer rows end to end: neither the order of
+    # the entries nor a row's denominator changes the rank
+    prods = [
+        itertools.chain.from_iterable((mj @ rep).ints)
+        for mj in map(Matrix.from_cols, bundle.table.field.structure_constants)
+        for rep in reps
+    ]
+    j_bijective = rank(Matrix(prods)) == n * n
     return ActionReport(rank_ok=rank_ok, j_bijective=j_bijective)
 
 

@@ -259,7 +259,7 @@ def cmd_enum(args) -> dict:
     for sub in subs:
         entry = {
             "elements": [list(p.images) for p in sub.elements],
-            "type": classify_type(sub),
+            "type": sub.type_name,
             "is_left_translations": frozenset(sub.elements) == lam_set,
             "is_right_translations": frozenset(sub.elements) == rho_set,
         }

@@ -83,7 +83,7 @@ def parse_ring_flag(s: str) -> CoefficientRing:
 
 
 def parse_coordinates(s: str, n: int, where: str):
-    parts = [p for p in s.split(",") if p.strip()]
+    parts = s.split(",")  # an empty part is a bad rational, never dropped
     if len(parts) != n:
         raise ParseError(f"{where}: expected {n} coordinates, got {len(parts)}")
     return tuple(parse_rational(p, where) for p in parts)

@@ -24,10 +24,6 @@ class DegreeTooLargeError(Exception):
     pass
 
 
-class OrderTooLargeError(Exception):
-    pass
-
-
 class NoDecompositionError(Exception):
     pass
 
@@ -263,6 +259,8 @@ def translation_actions(g: GroupData) -> TranslationActions:
 class RegularSubgroup:
     elements: tuple  # sorted Permutations
     degree: int
+    # the name of the standard model it was built from, when known
+    type_name: str | None = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(sorted(self.elements)))
@@ -351,14 +349,15 @@ def enumerate_regular_subgroups(g: GroupData) -> list:
     isomorphic to G (up to Aut(N)-conjugacy), an isomorphism G -> M read
     as the bijection a: G -> N, g -> (image of g)(e_N), carries lambda(N)
     to a^-1 lambda(N) a, which lambda(G) normalizes; its conjugates under
-    Aut(G) are the rest of the subgroups M gives.  Every result is checked
-    to be regular and normalized by lambda(G)."""
+    Aut(G) are the rest of the subgroups M gives, each named N in its
+    type_name.  Every result is checked to be regular and normalized by
+    lambda(G)."""
     n = g.order
     if n > ORDER_CAP:
         raise DegreeTooLargeError(f"degree {n} exceeds cap {ORDER_CAP}")
     auts_g = [Permutation(t) for t in _isomorphisms(g.cayley, g.cayley)]
-    found = set()
-    for _, table in _standard_models(n):
+    found = {}
+    for name, table in _standard_models(n):
         lam = [Permutation(row) for row in table]
         auts = [Permutation(t) for t in _isomorphisms(table, table)]
         for sub in _holomorph_regular_subgroups(lam, auts, _identity(table)):
@@ -369,8 +368,9 @@ def enumerate_regular_subgroups(g: GroupData) -> list:
             a = Permutation(a)
             transported = [a.inverse() * p * a for p in lam]
             for theta in auts_g:
-                found.add(tuple(sorted(theta * p * theta.inverse() for p in transported)))
-    subs = [RegularSubgroup(elements=key, degree=n) for key in sorted(found)]
+                key = tuple(sorted(theta * p * theta.inverse() for p in transported))
+                found[key] = name
+    subs = [RegularSubgroup(key, n, name) for key, name in sorted(found.items())]
     for sub in subs:
         sub.validate()
         elems = set(sub.elements)
@@ -574,7 +574,7 @@ def classify_type(subgroup: RegularSubgroup) -> str:
     """Standard name of the isomorphism class, for order <= 15."""
     n = len(subgroup.elements)
     if n > ORDER_CAP:
-        raise OrderTooLargeError(f"order {n} exceeds cap {ORDER_CAP}")
+        raise DegreeTooLargeError(f"order {n} exceeds cap {ORDER_CAP}")
     table = subgroup.cayley_table()
     for name, model in _standard_models(n):
         if is_isomorphic(table, model):

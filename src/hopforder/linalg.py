@@ -1,24 +1,24 @@
 """Exact linear algebra over Z and Z localized at a prime.
 
-Inputs and results are exact rationals (`fractions.Fraction`), so no
-rounding ever happens.  Products, solves and eliminations run on
-integers: one helper clears denominators, matrix products multiply the
-cleared integers, and one fraction-free Gauss-Jordan kernel serves rank,
-determinant, inverse and solves, each elimination answering any number
-of right-hand sides.  The central routine is :func:`hnf`, a row-style
-Hermite normal form whose unimodular left transform is built only when
-read; the order computation relies on it.  Lattices are compared by
-mutual membership, never entrywise.
+A :class:`Matrix` holds integer rows over one positive denominator, in
+a reduced form that equal matrices share; entries read back as exact
+rationals (`fractions.Fraction`), so no rounding ever happens.
+Products and eliminations run on the stored integer rows: one
+fraction-free Gauss-Jordan kernel serves rank, determinant, inverse and
+solves, each elimination answering any number of right-hand sides.
+The central routine is :func:`hnf`, a row-style Hermite normal form
+whose unimodular left transform is built only when read; the order
+computation relies on it.  Lattices are compared by mutual membership,
+never entrywise.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
-from operator import mul
+from math import gcd, isqrt, lcm
+from operator import add, mul
 
 
 class LinAlgError(Exception):
@@ -42,18 +42,7 @@ class DimensionMismatchError(LinAlgError):
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 @dataclass(frozen=True)
@@ -96,16 +85,11 @@ class CoefficientRing:
         x = Fraction(x)
         if x == 0:
             raise ValueError("valuation of zero is undefined")
-        p = self.prime
-        v = 0
-        n = x.numerator
-        while n % p == 0:
-            n //= p
-            v += 1
-        d = x.denominator
-        while d % p == 0:
-            d //= p
-            v -= 1
+        p, v = self.prime, 0
+        for n, step in ((x.numerator, 1), (x.denominator, -1)):
+            while n % p == 0:
+                n //= p
+                v += step
         return v
 
     def is_integral(self, x: Fraction | int) -> bool:
@@ -128,110 +112,128 @@ class CoefficientRing:
         if not nonzero:
             raise ZeroMatrixError("content of the zero matrix")
         if self.kind == "integers":
-            g = 0
-            l = 1
-            for x in nonzero:
-                g = gcd(g, abs(x.numerator))
-                l = lcm(l, x.denominator)
-            return Fraction(g, l)
+            return Fraction(
+                gcd(*(x.numerator for x in nonzero)),
+                lcm(*(x.denominator for x in nonzero)),
+            )
         v = min(self.valuation(x) for x in nonzero)
         return Fraction(self.prime) ** v
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions, row-major."""
+    """Immutable dense rational matrix: entry (i, j) is ints[i][j] / den.
 
-    __slots__ = ("rows", "cols", "_data")
+    ints is a tuple of integer rows and den a positive integer with
+    gcd(den, every entry) = 1.  That form is canonical, so equal
+    matrices have equal (ints, den).  Entries read back as Fractions.
+    """
+
+    __slots__ = ("rows", "cols", "ints", "den")
 
     def __init__(self, rows_of_entries):
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows_of_entries)
+        data = [
+            [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+            for row in rows_of_entries
+        ]
         if data and any(len(r) != len(data[0]) for r in data):
             raise DimensionMismatchError("ragged rows")
-        object.__setattr__(self, "_data", data)
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", len(data[0]) if data else 0)
+        # over s, the lcm of the reduced denominators, the form is canonical
+        s = lcm(*(x.denominator for row in data for x in row))
+        self._fill([[x.numerator * (s // x.denominator) for x in r] for r in data], s)
+
+    def _fill(self, ints, den):
+        ints = tuple(map(tuple, ints))
+        shape = (len(ints), len(ints[0]) if ints else 0)
+        for name, value in zip(self.__slots__, shape + (ints, den)):
+            object.__setattr__(self, name, value)
+
+    @staticmethod
+    def _of(ints, den=1) -> "Matrix":
+        """The matrix ints / den of integer rows, put in canonical form."""
+        g = 1 if den == 1 else gcd(den, *(gcd(*row) for row in ints))
+        g = g if den > 0 else -g
+        if g != 1:
+            ints = [[x // g for x in row] for row in ints]
+        m = object.__new__(Matrix)
+        m._fill(ints, den // g)
+        return m
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
 
     def __getitem__(self, ij):
         i, j = ij
-        return self._data[i][j]
+        return Fraction(self.ints[i][j], self.den)
 
     def row(self, i):
-        return self._data[i]
+        return tuple(Fraction(x, self.den) for x in self.ints[i])
 
     def col(self, j):
-        return tuple(r[j] for r in self._data)
+        return tuple(Fraction(r[j], self.den) for r in self.ints)
 
     def entries(self):
-        return itertools.chain.from_iterable(self._data)
+        return (Fraction(x, self.den) for row in self.ints for x in row)
 
     def tolists(self):
-        return [list(r) for r in self._data]
+        return [list(self.row(i)) for i in range(self.rows)]
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self._data == other._data
+        same = isinstance(other, Matrix) and self.den == other.den
+        return same and self.ints == other.ints
 
     def __hash__(self):
-        return hash(self._data)
+        return hash((self.ints, self.den))
 
     def __repr__(self):
-        return f"Matrix({[list(map(str, r)) for r in self._data]})"
+        return f"Matrix({[list(map(str, r)) for r in self.tolists()]})"
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return Matrix._of([[int(i == j) for j in range(n)] for i in range(n)])
 
     @staticmethod
     def zero(m: int, n: int) -> "Matrix":
-        return Matrix([[0] * n for _ in range(m)])
+        return Matrix._of([[0] * n for _ in range(m)])
 
     @staticmethod
     def from_cols(cols) -> "Matrix":
-        cols = [list(c) for c in cols]
-        return Matrix([[c[i] for c in cols] for i in range(len(cols[0]))])
+        return Matrix(cols).transpose()
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries())
+        return not any(map(any, self.ints))
 
     def transpose(self) -> "Matrix":
-        return Matrix([self.col(j) for j in range(self.cols)])
+        return Matrix._of(tuple(zip(*self.ints)), self.den)
+
+    def _over(self, other: "Matrix"):
+        """The integer rows of self and of other over one denominator."""
+        s, t = self.den, other.den
+        a = [[x * t for x in r] for r in self.ints]
+        return a, [[x * s for x in r] for r in other.ints], s * t
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatchError("shape mismatch in +")
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._data, other._data)
-            ]
-        )
+        a, b, d = self._over(other)
+        return Matrix._of([list(map(add, ra, rb)) for ra, rb in zip(a, b)], d)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatchError("shape mismatch in -")
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._data, other._data)
-            ]
-        )
+        return self + other.scale(-1)
 
     def scale(self, c) -> "Matrix":
         c = Fraction(c)
-        return Matrix([[c * x for x in r] for r in self._data])
+        return Matrix._of(
+            [[c.numerator * x for x in r] for r in self.ints], self.den * c.denominator
+        )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """(s a) (t b) / (s t): the product of the integer matrices left
-        by clearing the denominators of each factor."""
+        """(a / s) (b / t) = (a b) / (s t), a product of integer rows."""
         if self.cols != other.rows:
             raise DimensionMismatchError("shape mismatch in @")
-        a, s = _integer_rows(self._data)
-        b, t = _integer_rows(other._data)
-        cols = list(zip(*b))
-        return Matrix(
-            [[Fraction(sum(map(mul, row, col)), s * t) for col in cols] for row in a]
+        cols = list(zip(*other.ints))
+        return Matrix._of(
+            [[sum(map(mul, row, col)) for col in cols] for row in self.ints],
+            self.den * other.den,
         )
 
     def apply(self, v):
@@ -243,26 +245,26 @@ class Matrix:
     def stack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise DimensionMismatchError("column mismatch in stack")
-        return Matrix(list(self._data) + list(other._data))
+        a, b, d = self._over(other)
+        return Matrix._of(a + b, d)
 
     def submatrix(self, row_lo, row_hi, col_lo, col_hi) -> "Matrix":
-        return Matrix([r[col_lo:col_hi] for r in self._data[row_lo:row_hi]])
+        return Matrix._of(
+            [r[col_lo:col_hi] for r in self.ints[row_lo:row_hi]], self.den
+        )
 
 
 def kronecker(a: Matrix, b: Matrix) -> Matrix:
     """Standard Kronecker product: block (i, j) equals a[i, j] * b."""
-    out = []
-    for i in range(a.rows):
-        for p in range(b.rows):
-            out.append(
-                [a[i, j] * b[p, q] for j in range(a.cols) for q in range(b.cols)]
-            )
-    return Matrix(out)
+    return Matrix._of(
+        [[x * y for x in ra for y in rb] for ra in a.ints for rb in b.ints],
+        a.den * b.den,
+    )
 
 
 def vec(m: Matrix):
     """Column-major vectorization: stacked ordered columns of m."""
-    return tuple(m[i, j] for j in range(m.cols) for i in range(m.rows))
+    return tuple(Fraction(x, m.den) for col in zip(*m.ints) for x in col)
 
 
 def unvec(v, n: int) -> Matrix:
@@ -274,15 +276,6 @@ def unvec(v, n: int) -> Matrix:
 # --- the integer elimination kernel ----------------------------------------
 
 
-def _integer_rows(rows):
-    """(a, s): the rows times the lcm s of their denominators, as lists
-    of ints."""
-    s = lcm(*{x.denominator for row in rows for x in row})
-    if s == 1:
-        return [[x.numerator for x in row] for row in rows], 1
-    return [[x.numerator * (s // x.denominator) for x in row] for row in rows], s
-
-
 def _echelon(a, n_cols):
     """Fraction-free Gauss-Jordan elimination of integer rows, in place,
     pivoting only in the first n_cols columns.
@@ -292,6 +285,7 @@ def _echelon(a, n_cols):
     columns from n_cols on (right-hand sides) are carried along.  d is
     the determinant of the pivot submatrix of the swapped input, so
     every division below is exact (Bareiss 1968; Cohen, GTM 138, 2.2).
+    Rows are replaced, never changed, so a may hold tuples.
     """
     m = len(a)
     piv_cols = []
@@ -317,8 +311,14 @@ def _echelon(a, n_cols):
     return piv_cols, d, sign
 
 
+def _with_identity(ints):
+    """The integer rows [ints | I]."""
+    m = len(ints)
+    return [row + (0,) * i + (1,) + (0,) * (m - 1 - i) for i, row in enumerate(ints)]
+
+
 def rank(m: Matrix) -> int:
-    return len(_echelon(_integer_rows(m._data)[0], m.cols)[0])
+    return len(_echelon(list(m.ints), m.cols)[0])
 
 
 def solve_columns(m: Matrix, vs) -> list:
@@ -331,9 +331,9 @@ def solve_columns(m: Matrix, vs) -> list:
     if any(len(v) != m.rows for v in vs):
         raise DimensionMismatchError("rhs length mismatch")
     n = m.cols
-    a, _ = _integer_rows(
-        [row + tuple(v[i] for v in vs) for i, row in enumerate(m._data)]
-    )
+    b = Matrix.from_cols(vs)
+    # with m = a / s and b = c / t, m x = b means a x = (s / t) c
+    a = [row + rhs for row, rhs in zip(m.ints, b.ints)]
     piv_cols, d, _ = _echelon(a, n)
     r = len(piv_cols)
     out = []
@@ -343,45 +343,40 @@ def solve_columns(m: Matrix, vs) -> list:
         elif r < n:
             raise ColumnRankDeficientError("matrix does not have full column rank")
         else:
-            out.append(tuple(Fraction(row[j], d) for row in a[:n]))
+            out.append(tuple(Fraction(row[j] * m.den, d * b.den) for row in a[:n]))
     return out
 
 
 def solve(m: Matrix, v):
-    """The unique solution x of m @ x = v, or None if inconsistent.
-
-    Requires m to have full column rank (the only case this package needs).
-    """
+    """solve_columns for the one right-hand side v."""
     return solve_columns(m, [v])[0]
 
 
 def determinant(m: Matrix) -> Fraction:
-    """Exact determinant: sign * d / s^n from the elimination of s * m."""
+    """Exact determinant: sign * d / den^n from the elimination of ints."""
     if m.rows != m.cols:
         raise DimensionMismatchError("determinant of a non-square matrix")
-    a, s = _integer_rows(m._data)
-    piv_cols, d, sign = _echelon(a, m.cols)
+    piv_cols, d, sign = _echelon(list(m.ints), m.cols)
     if len(piv_cols) < m.rows:
         return Fraction(0)
-    return Fraction(sign * d, s**m.rows)
+    return Fraction(sign * d, m.den**m.rows)
 
 
 def det_inverse(m: Matrix):
     """Exact determinant and inverse; raises Singular when det = 0.
 
-    One elimination of [s * m | I] ends at d * [I | (s * m)^-1].
+    With m = a / s, one elimination of [a | I] ends at d * [I | a^-1],
+    and m^-1 = s a^-1.
     """
     if m.rows != m.cols:
         raise DimensionMismatchError("determinant of a non-square matrix")
     n = m.rows
-    a, s = _integer_rows(m._data)
-    for i, row in enumerate(a):
-        row.extend(1 if i == j else 0 for j in range(n))
+    a = _with_identity(m.ints)
     piv_cols, d, sign = _echelon(a, n)
     if len(piv_cols) < n:
         raise SingularError("matrix is singular")
-    inverse = Matrix([[Fraction(s * x, d) for x in row[n:]] for row in a])
-    return Fraction(sign * d, s**n), inverse
+    inverse = Matrix._of([[m.den * x for x in row[n:]] for row in a], d)
+    return Fraction(sign * d, m.den**n), inverse
 
 
 # --- Hermite normal form -------------------------------------------------
@@ -407,12 +402,10 @@ class HnfResult:
     def U(self) -> Matrix:
         """The unimodular transform, built on first read: the same HNF
         run on [matrix / content | I] ends at [D; 0 | U]."""
-        a, _ = _integer_rows(self.matrix.scale(1 / self.content)._data)
-        n, m = self.matrix.cols, len(a)
-        for i, row in enumerate(a):
-            row.extend(1 if i == j else 0 for j in range(m))
+        a = _with_identity(self.matrix.scale(1 / self.content).ints)
+        n = self.matrix.cols
         _hnf_int(a, n)
-        return Matrix([row[n:] for row in a])
+        return Matrix._of([row[n:] for row in a])
 
     def local_normal_form(self) -> Matrix:
         """Canonical form over Z_(p): each row divided by the unit part of
@@ -443,7 +436,7 @@ class HnfResult:
 
 
 def _hnf_int(a, n_cols):
-    """Row HNF of an integer matrix (list of lists) in place, pivoting
+    """Row HNF of a list of integer rows in place, pivoting
     only in the first n_cols columns; returns the rank.
 
     The row operations depend on those columns alone, so the columns
@@ -508,14 +501,16 @@ def hnf(m: Matrix, ring: CoefficientRing) -> HnfResult:
     """
     if m.is_zero():
         raise ZeroMatrixError("hnf of the zero matrix")
-    d = ring.content(m.entries())
-    # over a local ring entries can be non-integers with unit denominator;
-    # scale them away by a unit before the integer HNF
-    a, s = _integer_rows(m.scale(1 / d)._data)
+    # the content of the entries is the content of their gcd over den
+    d = ring.content([Fraction(gcd(*(gcd(*row) for row in m.ints)), m.den)])
+    # over a local ring m / d can keep a unit denominator; the integer
+    # HNF runs on its integer rows and D is divided by it again
+    scaled = m.scale(1 / d)
+    a = list(scaled.ints)
     r = _hnf_int(a, m.cols)
     if r < m.cols:
         raise ColumnRankDeficientError(f"rank {r} < {m.cols} columns")
-    d_mat = Matrix(a[: m.cols]).scale(Fraction(1, s))
+    d_mat = Matrix._of(a[: m.cols], scaled.den)
     return HnfResult(matrix=m, D=d_mat, content=d, zero_rows=m.rows - m.cols, ring=ring)
 
 

@@ -69,6 +69,13 @@ def test_free_with_beta(capsys):
     assert int(r["det"]) % 3 != 0
 
 
+@pytest.mark.parametrize("beta", ["1,,0", "1,0,"])
+def test_free_rejects_empty_coordinates(capsys, beta):
+    code, out, err = run(capsys, "free", fixture_path("quadratic"), "--beta", beta)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "ParseError"
+
+
 def test_free_zero_beta(capsys):
     r = run_json(capsys, "free", fixture_path("quadratic"), "--beta", "0,0")
     assert r["free"] is False and r["det"] == "0"

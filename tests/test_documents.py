@@ -66,6 +66,14 @@ def test_parse_coordinates():
         parse_coordinates("1,2", 3, "t")
 
 
+@pytest.mark.parametrize("s", ["1,,0", "1,0,", ",1,0", "1, ,0", ""])
+def test_parse_coordinates_rejects_empty_coordinates(s):
+    # with the empty part dropped, "1,,0" would read as two coordinates
+    for n in (2, 3):
+        with pytest.raises(ParseError):
+            parse_coordinates(s, n, "t")
+
+
 def test_fixture_documents_all_parse():
     for name in (
         "quadratic",

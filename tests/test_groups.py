@@ -13,7 +13,6 @@ from hopforder.groups import (
     GroupData,
     GroupValidationError,
     NoDecompositionError,
-    OrderTooLargeError,
     Permutation,
     RegularSubgroup,
     classify_type,
@@ -266,6 +265,13 @@ def test_order_10_counts(name, types):
     assert Counter(classify_type(s) for s in subs) == types
 
 
+@pytest.mark.parametrize("name", SMALL_GROUPS + ["C10", "D10"])
+def test_enumeration_carries_the_type_of_each_subgroup(name):
+    # the model each subgroup was built from, against the isomorphism search
+    subs = model_enumeration(name)
+    assert all(s.type_name == classify_type(s) for s in subs)
+
+
 @pytest.mark.parametrize("name", ["C12", "C2xC6", "D12", "Dic3", "A4"])
 def test_order_12_results_are_valid_and_normalized(name):
     g = relabelled(model(name), range(12))
@@ -307,7 +313,7 @@ def test_classify_order_cap():
     for _ in range(16):
         elems.append(q)
         q = q * p
-    with pytest.raises(OrderTooLargeError):
+    with pytest.raises(DegreeTooLargeError):
         classify_type(RegularSubgroup(elements=tuple(elems), degree=16))
 
 

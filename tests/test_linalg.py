@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -448,3 +449,58 @@ def test_hnf_rational_round_trip_property(m, ring):
     res = hnf(m, ring)
     assert res.U @ m.scale(1 / res.content) == res.D.stack(Matrix.zero(1, 2))
     assert determinant(res.U) in (1, -1)
+
+
+# --- the stored form -------------------------------------------------------
+
+
+def assert_canonical(m):
+    """den > 0, gcd(den, entries) = 1, and the same entries stored again
+    give an equal matrix with an equal hash."""
+    assert m.den > 0
+    assert gcd(m.den, *itertools.chain.from_iterable(m.ints)) == 1
+    again = Matrix(m.tolists())
+    assert (again.ints, again.den) == (m.ints, m.den)
+    assert again == m and hash(again) == hash(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_grid(3, 3), rational_grid(2, 3), rational)
+def test_every_construction_is_canonical(a, b, c):
+    built = [
+        a,
+        Matrix.from_cols(a.tolists()),
+        b @ a,
+        a.scale(c),
+        a.scale(-c),
+        a.scale(-1 - c),
+        kronecker(b, a),
+        a.submatrix(1, 3, 0, 2),
+        b.transpose(),
+        a + a.scale(c),
+        a - a,
+        b.stack(a),
+        unvec(vec(a), 3),
+    ]
+    if determinant(a) != 0:
+        _, inv = det_inverse(a)
+        assert a @ inv == Matrix.identity(3)
+        built += [inv, det_inverse(a.scale(-1))[1]]
+    for m in built:
+        assert_canonical(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_grid(2, 3), st.integers(-6, 6).filter(bool))
+def test_equal_entries_make_equal_matrices(m, c):
+    # the same entries reached by other routes, or given as ints or strings
+    routes = [
+        m.scale(c).scale(Fraction(1, c)),
+        m.transpose().transpose(),
+        Matrix.identity(2) @ m,
+        Matrix([[str(x) for x in row] for row in m.tolists()]),
+        Matrix([[int(x) if x.denominator == 1 else x for x in r] for r in m.tolists()]),
+    ]
+    for other in routes:
+        assert other == m and hash(other) == hash(m)
+        assert (other.ints, other.den) == (m.ints, m.den)
