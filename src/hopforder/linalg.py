@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
-from operator import add, mul
+from operator import mul
 
 
 class LinAlgError(Exception):
@@ -85,11 +85,16 @@ class CoefficientRing:
         x = Fraction(x)
         if x == 0:
             raise ValueError("valuation of zero is undefined")
-        p, v = self.prime, 0
-        for n, step in ((x.numerator, 1), (x.denominator, -1)):
-            while n % p == 0:
-                n //= p
-                v += step
+        p = self.prime
+        v = 0
+        n = x.numerator
+        while n % p == 0:
+            n //= p
+            v += 1
+        d = x.denominator
+        while d % p == 0:
+            d //= p
+            v -= 1
         return v
 
     def is_integral(self, x: Fraction | int) -> bool:
@@ -146,6 +151,7 @@ class Matrix:
         shape = (len(ints), len(ints[0]) if ints else 0)
         for name, value in zip(self.__slots__, shape + (ints, den)):
             object.__setattr__(self, name, value)
+        return self
 
     @staticmethod
     def _of(ints, den=1) -> "Matrix":
@@ -154,9 +160,7 @@ class Matrix:
         g = g if den > 0 else -g
         if g != 1:
             ints = [[x // g for x in row] for row in ints]
-        m = object.__new__(Matrix)
-        m._fill(ints, den // g)
-        return m
+        return object.__new__(Matrix)._fill(ints, den // g)
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
@@ -205,17 +209,12 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix._of(tuple(zip(*self.ints)), self.den)
 
-    def _over(self, other: "Matrix"):
-        """The integer rows of self and of other over one denominator."""
-        s, t = self.den, other.den
-        a = [[x * t for x in r] for r in self.ints]
-        return a, [[x * s for x in r] for r in other.ints], s * t
-
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatchError("shape mismatch in +")
-        a, b, d = self._over(other)
-        return Matrix._of([list(map(add, ra, rb)) for ra, rb in zip(a, b)], d)
+        s, t = self.den, other.den
+        rows = zip(self.ints, other.ints)
+        return Matrix._of([[x * t + y * s for x, y in zip(*ab)] for ab in rows], s * t)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + other.scale(-1)
@@ -245,8 +244,9 @@ class Matrix:
     def stack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise DimensionMismatchError("column mismatch in stack")
-        a, b, d = self._over(other)
-        return Matrix._of(a + b, d)
+        s, t = self.den, other.den
+        top = [[x * t for x in r] for r in self.ints]
+        return Matrix._of(top + [[x * s for x in r] for r in other.ints], s * t)
 
     def submatrix(self, row_lo, row_hi, col_lo, col_hi) -> "Matrix":
         return Matrix._of(
