@@ -6,6 +6,10 @@ rationals (`fractions.Fraction`), so no rounding ever happens.
 Products and eliminations run on the stored integer rows: one
 fraction-free Gauss-Jordan kernel serves rank, determinant, inverse and
 solves, each elimination answering any number of right-hand sides.
+A rank is first computed modulo one fixed prime; rank mod p never
+exceeds rank over Q, so a full modular rank is proved, and any lower
+one falls back to the exact kernel.  Every other result (determinants,
+inverses, solutions, HNF) is exact and never reduced mod p.
 The central routine is :func:`hnf`, a row-style Hermite normal form
 whose unimodular left transform is built only when read; the order
 computation relies on it.  Lattices are compared by mutual membership,
@@ -317,7 +321,43 @@ def _with_identity(ints):
     return [row + (0,) * i + (1,) + (0,) * (m - 1 - i) for i, row in enumerate(ints)]
 
 
+# the Mersenne prime 2^31 - 1, small enough for _is_prime's trial
+# division; a full-rank integer matrix has a lower rank mod _P only when
+# _P divides every maximal minor
+_P = (1 << 31) - 1
+
+
+def _rank_mod_p(a, n_cols) -> int:
+    """Rank over F_p, p = _P, of integer rows: Gaussian elimination on
+    residues, each pivot row scaled so the pivot cancels by addition."""
+    p, m = _P, len(a)
+    rows = [[x % p for x in row] for row in a]
+    r = 0
+    for c in range(n_cols):
+        pr = next((i for i in range(r, m) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = -pow(rows[r][c], -1, p)
+        pivot_row = [x * inv % p for x in rows[r]]
+        for i in range(r + 1, m):
+            f = rows[i][c]
+            if f:
+                rows[i] = [(x + f * y) % p for x, y in zip(rows[i], pivot_row)]
+        r += 1
+    return r
+
+
 def rank(m: Matrix) -> int:
+    """Exact rank over Q.
+
+    Rank mod p never exceeds rank over Q, so a full rank, min(rows,
+    cols), modulo the prime _P proves itself; any lower modular rank
+    falls back to the exact elimination.
+    """
+    full = min(m.rows, m.cols)
+    if _rank_mod_p(m.ints, m.cols) == full:
+        return full
     return len(_echelon(list(m.ints), m.cols)[0])
 
 

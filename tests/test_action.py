@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopforder import linalg
 from hopforder.action import (
     ActionTable,
     FieldPresentation,
@@ -20,7 +21,7 @@ from hopforder.action import (
     rep_matrix_basis,
     verify_action,
 )
-from hopforder.induction import product_field
+from hopforder.induction import induce_action, product_field
 from hopforder.linalg import CoefficientRing, Matrix, vec
 
 from conftest import load
@@ -193,6 +194,23 @@ def test_verify_action_fails_for_degenerate_table():
     )
     rep = verify_action(build_bundle(t, Z))
     assert not rep.rank_ok and not rep.j_bijective
+
+
+def test_verify_action_certifies_full_rank_without_exact_elimination(monkeypatch):
+    # degree 6: M and the 36 products both have full rank mod p
+    left, right = load("cubic_eisenstein_alt"), load("quadratic_i_local3")
+    bundle = induce_action(left.hopf, right.hopf, left.ring).bundle
+    eliminations = []
+    real = linalg._echelon
+
+    def counting(a, n_cols):
+        eliminations.append(n_cols)
+        return real(a, n_cols)
+
+    monkeypatch.setattr(linalg, "_echelon", counting)
+    rep = verify_action(bundle)
+    assert rep.rank_ok and rep.j_bijective
+    assert eliminations == []
 
 
 def test_rep_matrix_is_linear_combination():

@@ -1,12 +1,19 @@
 """Tensor induction of actions and the product behavior of orders."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopforder.action import ValidationError
+from hopforder.action import (
+    ActionReport,
+    ValidationError,
+    mult_matrix,
+    rep_matrix_basis,
+    verify_action,
+)
 from hopforder.documents import parse_document
 from hopforder.induction import (
     NotArithmeticallyDisjointError,
@@ -28,6 +35,8 @@ from hopforder.linalg import (
     determinant,
     kronecker,
     lattice_equal,
+    rank,
+    vec,
 )
 from hopforder.order import associated_order
 
@@ -129,6 +138,71 @@ def test_induced_table_diagonal_row():
         assert row[j] == tuple(
             expected_diag[j] if l == j else 0 for l in range(6)
         )
+
+
+# --- the second route to j ------------------------------------------------
+
+FIELD_FIXTURES = (
+    "cubic_eisenstein",
+    "cubic_eisenstein_alt",
+    "quadratic",
+    "quadratic_i_local3",
+    "quadratic_sqrtm3_local3",
+    "trivial",
+)
+
+
+def j_rows(bundle):
+    """The matrix of j: row a*n + i is vec(mult(gamma_a) rho(w_i))."""
+    n = bundle.dim
+    mults = [
+        mult_matrix(bundle.table.field, [int(k == a) for k in range(n)])
+        for a in range(n)
+    ]
+    reps = [rep_matrix_basis(bundle.table, i) for i in range(n)]
+    return [vec(m @ rho) for m in mults for rho in reps]
+
+
+def vec_kronecker_order(r, u):
+    """For r x r A and u x u B, entry k of vec(A (x) B) is entry order[k]
+    of vec(A) (x) vec(B)."""
+    return [
+        (s * r + p) * u * u + t * u + q
+        for s in range(r)
+        for t in range(u)
+        for p in range(r)
+        for q in range(u)
+    ]
+
+
+@pytest.mark.parametrize("left_name,right_name", itertools.product(FIELD_FIXTURES, repeat=2))
+def test_induced_j_is_the_tensor_of_the_factor_js(left_name, right_name):
+    # mult(gamma_a z_c) rho(w_i w'_j) = (mult(gamma_a) rho(w_i)) (x)
+    # (mult(z_c) rho(w'_j)), so up to a fixed reordering each row of the
+    # induced j is the Kronecker product of a left and a right row
+    left, right = load(left_name), load(right_name)
+    setup = induce_action(left.hopf, right.hopf, left.ring)
+    r, u = setup.left.dim, setup.right.dim
+    n = r * u
+    j_left, j_right, j_induced = (
+        j_rows(b) for b in (setup.left, setup.right, setup.bundle)
+    )
+    order = vec_kronecker_order(r, u)
+    for (a, c), (i, j) in itertools.product(
+        itertools.product(range(r), range(u)), repeat=2
+    ):
+        kron = [x * y for x in j_left[a * r + i] for y in j_right[c * u + j]]
+        row = j_induced[(a * u + c) * n + i * u + j]
+        assert row == tuple(kron[k] for k in order)
+    ranks = [rank(Matrix(rows)) for rows in (j_left, j_right, j_induced)]
+    assert ranks[2] == ranks[0] * ranks[1]
+    left_rep, right_rep = verify_action(setup.left), verify_action(setup.right)
+    assert verify_action(setup.bundle) == ActionReport(
+        rank_ok=left_rep.rank_ok and right_rep.rank_ok,
+        j_bijective=left_rep.j_bijective and right_rep.j_bijective,
+    )
+    assert left_rep.j_bijective == (ranks[0] == r * r)
+    assert right_rep.j_bijective == (ranks[1] == u * u)
 
 
 def test_trivial_right_factor_is_identity_behavior():

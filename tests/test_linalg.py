@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopforder import linalg
 from hopforder.linalg import (
     CoefficientRing,
     ColumnRankDeficientError,
@@ -16,6 +17,8 @@ from hopforder.linalg import (
     Matrix,
     SingularError,
     ZeroMatrixError,
+    _echelon,
+    _is_prime,
     det_inverse,
     determinant,
     hnf,
@@ -132,6 +135,29 @@ def test_rank_and_solve():
         solve(Matrix([[1, 2], [2, 4]]), (1, 2))
     with pytest.raises(DimensionMismatchError):
         solve_columns(m, [(5, 10, 2), (1, 2)])
+
+
+def test_rank_falls_back_to_exact_elimination(monkeypatch):
+    assert _is_prime(linalg._P)
+    eliminations = []
+    real = linalg._echelon
+
+    def counting(a, n_cols):
+        eliminations.append(n_cols)
+        return real(a, n_cols)
+
+    monkeypatch.setattr(linalg, "_echelon", counting)
+    # rank 2 over Q but 1 mod p: only the exact elimination finds 2
+    m = Matrix([[linalg._P, 0], [0, 1]])
+    assert linalg._rank_mod_p(m.ints, m.cols) == 1
+    assert rank(m) == 2
+    assert eliminations == [2]
+    eliminations.clear()
+    assert rank(Matrix([[1, 2], [3, 4]])) == 2
+    assert eliminations == []
+    assert rank(Matrix([])) == 0
+    assert rank(Matrix([[0, 0, 0]])) == 0
+    assert rank(Matrix([[1, 2], [2, 4]])) == 1
 
 
 def test_determinant_known_values():
@@ -437,6 +463,26 @@ def test_solve_columns_rational_property(m, columns):
 @given(rational_matrices(3, 4))
 def test_rank_rational_property(m):
     assert rank(m) == rank(m.transpose()) == minor_rank(m)
+
+
+@st.composite
+def rational_matrices_with_prime_rows(draw):
+    """rational_matrices of 1 to 4 rows and columns with some rows
+    multiplied by the kernel's prime.  Such a row vanishes mod p, so a
+    draw can have a lower rank mod p than over Q, which only the exact
+    elimination corrects."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    m = draw(rational_matrices(rows, cols))
+    times_p = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    return Matrix(
+        [[x * linalg._P if t else x for x in row] for row, t in zip(m.tolists(), times_p)]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices_with_prime_rows())
+def test_rank_matches_exact_elimination_property(m):
+    assert rank(m) == len(_echelon(list(m.ints), m.cols)[0])
 
 
 @settings(max_examples=100, deadline=None)
