@@ -202,7 +202,7 @@ def verify_action(bundle: ActionBundle) -> ActionReport:
         for mj in map(Matrix.from_cols, bundle.table.field.structure_constants)
         for rep in reps
     ]
-    j_bijective = rank(Matrix(prods)) == n * n
+    j_bijective = rank(Matrix._of(prods)) == n * n
     return ActionReport(rank_ok=rank_ok, j_bijective=j_bijective)
 
 

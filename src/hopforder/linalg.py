@@ -392,6 +392,12 @@ def solve(m: Matrix, v):
     return solve_columns(m, [v])[0]
 
 
+def pivot_rows(m: Matrix) -> list:
+    """Indices of the rows of m not spanned by the rows before them, in
+    order, from one elimination of the transpose of m."""
+    return _echelon(list(zip(*m.ints)), m.rows)[0]
+
+
 def determinant(m: Matrix) -> Fraction:
     """Exact determinant: sign * d / den^n from the elimination of ints."""
     if m.rows != m.cols:

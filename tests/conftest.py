@@ -7,6 +7,16 @@ from hopforder import CoefficientRing, Permutation, build_bundle, load_document
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
+# the fixtures that carry a field and a Hopf action
+FIELD_FIXTURES = (
+    "cubic_eisenstein",
+    "cubic_eisenstein_alt",
+    "quadratic",
+    "quadratic_i_local3",
+    "quadratic_sqrtm3_local3",
+    "trivial",
+)
+
 
 def fixture_path(name: str) -> str:
     return str(FIXTURES / f"{name}.json")

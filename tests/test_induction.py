@@ -40,7 +40,7 @@ from hopforder.linalg import (
 )
 from hopforder.order import associated_order
 
-from conftest import i_over_3_document, load, one_based_cycles
+from conftest import FIELD_FIXTURES, i_over_3_document, load, one_based_cycles
 
 Z3 = CoefficientRing.localized_at(3)
 
@@ -141,15 +141,6 @@ def test_induced_table_diagonal_row():
 
 
 # --- the second route to j ------------------------------------------------
-
-FIELD_FIXTURES = (
-    "cubic_eisenstein",
-    "cubic_eisenstein_alt",
-    "quadratic",
-    "quadratic_i_local3",
-    "quadratic_sqrtm3_local3",
-    "trivial",
-)
 
 
 def j_rows(bundle):

@@ -25,6 +25,7 @@ from hopforder.linalg import (
     kronecker,
     lattice_contains,
     lattice_equal,
+    pivot_rows,
     rank,
     solve,
     solve_columns,
@@ -135,6 +136,13 @@ def test_rank_and_solve():
         solve(Matrix([[1, 2], [2, 4]]), (1, 2))
     with pytest.raises(DimensionMismatchError):
         solve_columns(m, [(5, 10, 2), (1, 2)])
+
+
+def test_pivot_rows_skip_rows_spanned_by_earlier_ones():
+    m = Matrix([[0, 0], [1, 2], [2, 4], [Fraction(1, 3), 0], [1, 1]])
+    assert pivot_rows(m) == [1, 3]
+    assert pivot_rows(Matrix.identity(2)) == [0, 1]
+    assert pivot_rows(Matrix.zero(3, 2)) == []
 
 
 def test_rank_falls_back_to_exact_elimination(monkeypatch):
